@@ -120,10 +120,6 @@ class DecoratedGraph:
         return grammar.decorated_to_text(self)
 
 
-def codim(d: DecoratedGraph) -> int:
-    return d.codim
-
-
 def kappa_apply(a: int, v: int, d: DecoratedGraph) -> DecoratedGraph:
     """Multiply the decoration at vertex ``v`` by kappa_a."""
     if a < 1:
@@ -275,6 +271,10 @@ def _generic_pairs_interned(RG: StableGraph, RH: StableGraph):
 
 def _compositions(total: int, parts: int):
     """Weak compositions of ``total`` into ``parts`` slots."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
     if parts == 1:
         yield (total,)
         return

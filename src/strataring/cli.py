@@ -29,18 +29,13 @@ def _add_common(p: argparse.ArgumentParser, *, space=False, gn=False, k=False):
     if space:
         p.add_argument("--space", choices=SPACES, default="mbar")
     p.add_argument("--cache", help="psi-integral cache file (also: STRATA_CACHE)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for matrix fill")
-
-
-def _format_fraction(x: Fraction) -> str:
-    return str(x)
 
 
 def _emit_matrix(m, scale, fmt, out=sys.stdout):
     entries = m.scaled(scale)
     if fmt == "csv":
         for row in entries:
-            out.write(",".join(_format_fraction(x) for x in row) + "\n")
+            out.write(",".join(str(x) for x in row) + "\n")
     else:
         json.dump(
             {
@@ -50,7 +45,7 @@ def _emit_matrix(m, scale, fmt, out=sys.stdout):
                 "space": m.space,
                 "rows": [grammar.decorated_to_text(d) for d in m.rows],
                 "cols": [grammar.decorated_to_text(d) for d in m.cols],
-                "entries": [[_format_fraction(x) for x in row] for row in entries],
+                "entries": [[str(x) for x in row] for row in entries],
             },
             out,
             indent=1,
@@ -131,7 +126,7 @@ def _run(args) -> int:
     if args.command == "integrate":
         s = grammar.load_sum(args.file)
         value = integrate_sum(s, evaluation_kind(args.kind))
-        print(_format_fraction(value))
+        print(value)
         return 0
 
     if args.command == "enumerate":
@@ -142,12 +137,12 @@ def _run(args) -> int:
         return 0
 
     if args.command == "gram":
-        m = gram(args.g, args.n, args.k, args.space, jobs=args.jobs)
+        m = gram(args.g, args.n, args.k, args.space)
         _emit_matrix(m, Fraction(args.scale), args.format)
         return 0
 
     if args.command == "rank-table":
-        ranks = rank_table(args.g, args.n, args.space, jobs=args.jobs)
+        ranks = rank_table(args.g, args.n, args.space)
         if args.format == "csv":
             print(",".join(str(r) for r in ranks))
         else:

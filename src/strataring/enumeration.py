@@ -15,9 +15,9 @@ psi/kappa monomials below the boundary-expressibility bound
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, product
 
-from .algebra import DecoratedGraph
+from .algebra import DecoratedGraph, _compositions
 from .graphs import StableGraph, build_graph
 
 SPACES = ("mbar", "ct", "rt")
@@ -87,46 +87,31 @@ def _one_edge_refinements(X: StableGraph):
         nbrs = sorted(neighbor_halves)
         for ga in range(X.genera[v] + 1):
             gb = X.genera[v] - ga
-            for moved in _attachment_splits(legs_v, loops_v, [neighbor_halves[w] for w in nbrs]):
-                stay_legs_loops, moved_halves, split_loops = moved
-                yield from _apply_split(X, v, ga, gb, moved_halves, split_loops)
+            for moved, split_loops in _attachment_splits(
+                legs_v, loops_v, [neighbor_halves[w] for w in nbrs]
+            ):
+                yield from _apply_split(X, v, ga, gb, moved, split_loops)
 
 
 def _attachment_splits(legs, loops, bundles):
     """Distributions of the attachments of a vertex onto the two sides of a
-    split.  Interchangeable half-edges (parallel edges to one neighbor,
-    loops) are enumerated by count only."""
-    leg_choices = [(set(), {h}) for h in legs]
-    from itertools import product
-
-    bundle_choices = []
-    for halves in bundles:
-        bundle_choices.append([set(halves[:k]) for k in range(len(halves) + 1)])
-    loop_choices = []
-    # per loop multiset: how many stay, how many split, how many move
+    split, yielded as (half-edges moved to the new vertex, loops that
+    become edges across the split).  Interchangeable half-edges (parallel
+    edges to one neighbor, loops) are enumerated by count only."""
+    bundle_choices = [[set(halves[:k]) for k in range(len(halves) + 1)] for halves in bundles]
+    # per loop multiset: the first ``stay`` loops stay, the next ``split``
+    # are split, the rest move
     L = len(loops)
-    loop_opts = []
+    loop_choices = []
     for stay in range(L + 1):
         for split in range(L - stay + 1):
-            move = L - stay - split
-            loop_opts.append((stay, split, move))
-    for stay, split, move in loop_opts:
-        moved = set()
-        split_set = []
-        idx = 0
-        for _ in range(split):
-            split_set.append(loops[idx + stay])
-            idx += 1
-        for k in range(move):
-            h1, h2 = loops[stay + split + k]
-            moved |= {h1, h2}
-        loop_choices.append((moved, tuple(split_set)))
-    for leg_pick in product(*[(frozenset(), frozenset({h})) for h in legs]):
-        leg_moved = set().union(*leg_pick) if leg_pick else set()
-        for bundle_pick in product(*bundle_choices) if bundle_choices else [()]:
-            bundle_moved = set().union(*bundle_pick) if bundle_pick else set()
-            for loop_moved, split_set in loop_choices:
-                yield None, leg_moved | bundle_moved | loop_moved, split_set
+            moved = {h for loop in loops[stay + split :] for h in loop}
+            loop_choices.append((moved, tuple(loops[stay : stay + split])))
+    for leg_pick in product(*[((), (h,)) for h in legs]):
+        for bundle_pick in product(*bundle_choices):
+            attached = set(chain(*leg_pick, *bundle_pick))
+            for loop_moved, split_loops in loop_choices:
+                yield attached | loop_moved, split_loops
 
 
 def _apply_split(X: StableGraph, v: int, ga: int, gb: int, moved, split_loops):
@@ -168,19 +153,6 @@ def _kappa_partitions(m: int, max_part: int | None = None):
                 yield ((j, f),) + rest
 
 
-def _psi_distributions(total: int, slots: int):
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _psi_distributions(total - first, slots - 1):
-            yield (first,) + rest
-
-
 def vertex_decoration_bound(G: StableGraph, v: int) -> int:
     """Strict upper bound for codim(theta_v): decorations at or above it
     are supported on the boundary and excluded from the spanning set."""
@@ -198,7 +170,7 @@ def _vertex_decorations(G: StableGraph, v: int, c: int):
                 # the top pure kappa_1 power on a closed vertex is
                 # redundant (one-dimensional socle of the open part)
                 continue
-            for psis in _psi_distributions(c - m, G.degree(v)):
+            for psis in _compositions(c - m, G.degree(v)):
                 yield kap, psis
 
 

@@ -322,11 +322,6 @@ def load_sum(path: str) -> FormalSum:
         return parse_sum(fh.read())
 
 
-def dump_sum(path: str, s: FormalSum) -> None:
-    with open(path, "w") as fh:
-        fh.write(sum_to_text(s))
-
-
 # -- JSON mirror ---------------------------------------------------------
 
 

@@ -123,9 +123,6 @@ class StableGraph:
     def is_tree(self) -> bool:
         return self.first_betti == 0
 
-    def is_loop(self, edge: tuple[int, int]) -> bool:
-        return self.vertex_of[edge[0]] == self.vertex_of[edge[1]]
-
     # -- canonical form ------------------------------------------------
 
     @cached_property

@@ -20,32 +20,37 @@ from __future__ import annotations
 
 import os
 import sys
+import tempfile
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
 
-from .algebra import DecoratedGraph, FormalSum
+from .algebra import DecoratedGraph, FormalSum, _multinomial
+from .enumeration import space_admits, top_degree
+from .graphs import StableGraph
 
 
 class EvaluationKind(Enum):
-    """Which class the socle pairing integrates against."""
+    """Which class the socle pairing integrates against.  The value is the
+    kind code of the cache file format."""
 
     fundamental = 0
     lambda_g = 1
     lambda_g_lambda_g_minus_1 = 2
+
+    @property
+    def space(self) -> str:
+        """The space whose socle this class evaluates: ``mbar``, ``ct`` or ``rt``."""
+        return _SPACE_OF_KIND[self]
 
 
 FUNDAMENTAL = EvaluationKind.fundamental
 LAMBDA_TOP = EvaluationKind.lambda_g
 LAMBDA_PAIR = EvaluationKind.lambda_g_lambda_g_minus_1
 
+_SPACE_OF_KIND = {FUNDAMENTAL: "mbar", LAMBDA_TOP: "ct", LAMBDA_PAIR: "rt"}
 _KIND_ALIASES = {
-    "fundamental": FUNDAMENTAL,
-    "mbar": FUNDAMENTAL,
-    "lambda_g": LAMBDA_TOP,
-    "ct": LAMBDA_TOP,
-    "lambda_g_lambda_g_minus_1": LAMBDA_PAIR,
-    "rt": LAMBDA_PAIR,
+    name: kind for kind, space in _SPACE_OF_KIND.items() for name in (kind.name, space)
 }
 
 
@@ -96,13 +101,6 @@ def double_factorial(m: int) -> int:
     return out
 
 
-def _multinomial(total: int, parts) -> int:
-    out = factorial(total)
-    for p in parts:
-        out //= factorial(p)
-    return out
-
-
 # -- memo cache ---------------------------------------------------------
 
 ZERO = Fraction(0)
@@ -133,10 +131,18 @@ def cache_snapshot(path: str) -> int:
     for (g, ds, kind), value in sorted(_tau_cache.items()):
         dstr = ",".join(str(d) for d in ds) if ds else "-"
         lines.append(f"v1 {g} {dstr} {kind} {value.numerator}/{value.denominator}\n")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.writelines(lines)
-    os.replace(tmp, path)
+    # a private temporary file in the target directory, so that concurrent
+    # snapshots never write into one another's file before the rename
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return len(lines)
 
 
@@ -158,6 +164,7 @@ def cache_load(path: str) -> int:
                     raise ValueError("bad version tag")
                 g = int(gs)
                 ds = () if dstr == "-" else tuple(int(x) for x in dstr.split(","))
+                code = EvaluationKind(int(kind)).value
                 num, den = frac.split("/")
                 value = Fraction(int(num), int(den))
             except ValueError:
@@ -166,14 +173,9 @@ def cache_load(path: str) -> int:
                     file=sys.stderr,
                 )
                 continue
-            _tau_cache[(g, tuple(sorted(ds)), int(kind))] = value
+            _tau_cache[(g, tuple(sorted(ds)), code)] = value
             loaded += 1
     return loaded
-
-
-def load_default_cache() -> int:
-    path = os.environ.get("STRATA_CACHE")
-    return cache_load(path) if path else 0
 
 
 # -- pure psi integrals --------------------------------------------------
@@ -359,6 +361,27 @@ def kappa_reduce(g: int, psi_exponents, kappa_indices, kind=FUNDAMENTAL) -> Frac
 # -- integration of decorated graphs --------------------------------------
 
 
+def hodge_split(G: StableGraph, kind: EvaluationKind):
+    """How the evaluation class splits over the vertices of ``G``.
+
+    ``None`` when the class vanishes on the stratum of ``G``: the top
+    lambda class vanishes on graphs with a cycle, and the lambda_g
+    lambda_{g-1} evaluation vanishes unless the graph is a tree whose
+    unique positive-genus vertex carries the full genus.  Otherwise one
+    ``(genus, vertex kind, top degree)`` triple per vertex: under
+    lambda_g lambda_{g-1} the genus-0 vertices are integrated against
+    the fundamental class, and only decorations of exactly the vertex's
+    top degree integrate to a nonzero value.
+    """
+    if not space_admits(G, kind.space):
+        return None
+    split = []
+    for v, gv in enumerate(G.genera):
+        vkind = FUNDAMENTAL if kind is LAMBDA_PAIR and gv == 0 else kind
+        split.append((gv, vkind, top_degree(vkind.space, gv, G.degree(v))))
+    return split
+
+
 def _vertex_value(d: DecoratedGraph, v: int, kind: EvaluationKind) -> Fraction:
     g = d.graph.genera[v]
     psi = tuple(d.psi[h] for h in d.graph.halfedges_at[v])
@@ -371,35 +394,25 @@ def integrate_graph(d: DecoratedGraph, kind) -> Fraction:
 
     The value is the product of the vertex integrals; no automorphism
     factor is applied (terms of a :class:`FormalSum` stand for bare
-    pushforwards).  Rules forced by the splitting of the Hodge bundle:
-    the top lambda class vanishes on graphs with a cycle, and the
-    lambda_g lambda_{g-1} evaluation vanishes unless the graph is a tree
-    whose unique positive-genus vertex carries the full genus.
+    pushforwards).  The Hodge-splitting rules are those of
+    :func:`hodge_split`.
     """
-    from .enumeration import space_admits, top_degree
-
     kind = evaluation_kind(kind)
-    g, n = d.graph.genus, d.graph.n_legs
-    space = {FUNDAMENTAL: "mbar", LAMBDA_TOP: "ct", LAMBDA_PAIR: "rt"}[kind]
-    if d.codim != top_degree(space, g, n):
-        raise DimensionMismatch(
-            f"codimension {d.codim} is not the top degree {top_degree(space, g, n)}"
-        )
+    top = top_degree(kind.space, d.graph.genus, d.graph.n_legs)
+    if d.codim != top:
+        raise DimensionMismatch(f"codimension {d.codim} is not the top degree {top}")
     return _integrate_checked(d, kind)
 
 
 def _integrate_checked(d: DecoratedGraph, kind: EvaluationKind) -> Fraction:
-    if kind is not FUNDAMENTAL:
-        from .enumeration import space_admits
-
-        if not space_admits(d.graph, "ct" if kind is LAMBDA_TOP else "rt"):
-            return ZERO
+    split = hodge_split(d.graph, kind)
+    if split is None:
+        return ZERO
     value = Fraction(1)
-    for v in range(d.graph.n_vertices):
-        if kind is LAMBDA_PAIR and d.graph.genera[v] == 0:
-            factor = _vertex_value(d, v, FUNDAMENTAL)
-        else:
-            factor = _vertex_value(d, v, kind)
+    for v, (_, vkind, top) in enumerate(split):
+        if d.vertex_codim(v) != top:
+            return ZERO
+        factor = _vertex_value(d, v, vkind)
         if factor == 0:
             return ZERO
         value *= factor
@@ -409,11 +422,8 @@ def _integrate_checked(d: DecoratedGraph, kind: EvaluationKind) -> Fraction:
 def integrate_sum(s: FormalSum, kind) -> Fraction:
     """Linear extension of :func:`integrate_graph`; terms off the top
     degree contribute zero."""
-    from .enumeration import top_degree
-
     kind = evaluation_kind(kind)
-    space = {FUNDAMENTAL: "mbar", LAMBDA_TOP: "ct", LAMBDA_PAIR: "rt"}[kind]
-    top = top_degree(space, s.g, s.n)
+    top = top_degree(kind.space, s.g, s.n)
     total = ZERO
     for coeff, d in s.terms.values():
         if d.codim != top:

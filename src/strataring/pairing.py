@@ -2,8 +2,9 @@
 
 The Gram matrix pairs the spanning set in codimension ``k`` against the
 one in complementary codimension through the evaluation class of the
-chosen space.  Ranks are computed over the integers by fraction-free
-(Bareiss) elimination after clearing denominators row by row.
+chosen space.  Ranks and kernels come from one fraction-free (Bareiss)
+Gauss-Jordan elimination over the integers, after clearing denominators
+row by row.
 """
 
 from __future__ import annotations
@@ -19,37 +20,14 @@ from .algebra import (
     _generic_pairs_interned,
     _interned_decorated,
     homogeneous_codim,
-    multiply,
 )
-from .enumeration import decorated_basis, space_admits, top_degree
-from .integrals import (
-    FUNDAMENTAL,
-    LAMBDA_PAIR,
-    LAMBDA_TOP,
-    evaluation_kind,
-    integrate_sum,
-    kappa_reduce,
-)
-
-_SPACE_KIND = {"mbar": "fundamental", "ct": "lambda_g", "rt": "lambda_g_lambda_g_minus_1"}
-_KIND_SPACE = {FUNDAMENTAL: "mbar", LAMBDA_TOP: "ct", LAMBDA_PAIR: "rt"}
+from .enumeration import decorated_basis, top_degree
+from .integrals import EvaluationKind, evaluation_kind, hodge_split, kappa_reduce
 
 
-def kind_for_space(space: str):
-    return evaluation_kind(_SPACE_KIND[space])
-
-
-def _vertex_tops(A, kind):
-    tops = []
-    for v in range(A.n_vertices):
-        gv, nv = A.genera[v], A.degree(v)
-        if kind is FUNDAMENTAL:
-            tops.append(3 * gv - 3 + nv)
-        elif kind is LAMBDA_TOP:
-            tops.append(2 * gv - 3 + nv)
-        else:
-            tops.append(gv - 2 + nv if gv > 0 else nv - 3)
-    return tops
+def kind_for_space(space: str) -> EvaluationKind:
+    """The evaluation class of the socle pairing on ``space``."""
+    return evaluation_kind(space)
 
 
 def integrate_product(x: FormalSum, y: FormalSum, kind) -> Fraction:
@@ -61,7 +39,7 @@ def integrate_product(x: FormalSum, y: FormalSum, kind) -> Fraction:
     cheap), with early exits on off-dimension vertices.
     """
     kind = evaluation_kind(kind)
-    top = top_degree(_KIND_SPACE[kind], x.g, x.n)
+    top = top_degree(kind.space, x.g, x.n)
     total = Fraction(0)
     for cG, dgG in x.terms.values():
         RG, psiG, kappaG = _interned_decorated(dgG)
@@ -71,13 +49,10 @@ def integrate_product(x: FormalSum, y: FormalSum, kind) -> Fraction:
             RH, psiH, kappaH = _interned_decorated(dgH)
             c = cG * cH
             for A, pairs in _generic_pairs_interned(RG, RH):
-                if kind is not FUNDAMENTAL and not space_admits(A, _KIND_SPACE[kind]):
-                    continue
-                tops = _vertex_tops(A, kind)
-                if any(t < 0 for t in tops):
+                split = hodge_split(A, kind)
+                if split is None:
                     continue
                 halfedges_at = A.halfedges_at
-                genera = A.genera
                 weight = c / A.aut_order
                 for pair in pairs:
                     for coeff, psi, kappa in _expand_structure_raw(
@@ -85,15 +60,13 @@ def integrate_product(x: FormalSum, y: FormalSum, kind) -> Fraction:
                     ):
                         value = Fraction(coeff)
                         for v in range(A.n_vertices):
+                            gv, vkind, vtop = split[v]
                             psis = tuple(psi[h] for h in halfedges_at[v])
                             kap = tuple(j for j, f in kappa[v] for _ in range(f))
-                            if sum(psis) + sum(kap) != tops[v]:
+                            if sum(psis) + sum(kap) != vtop:
                                 value = Fraction(0)
                                 break
-                            vkind = kind
-                            if kind is LAMBDA_PAIR and genera[v] == 0:
-                                vkind = FUNDAMENTAL
-                            factor = kappa_reduce(genera[v], psis, kap, vkind)
+                            factor = kappa_reduce(gv, psis, kap, vkind)
                             if factor == 0:
                                 value = Fraction(0)
                                 break
@@ -124,7 +97,7 @@ def pairing_value(a: DecoratedGraph, b: DecoratedGraph, space: str) -> Fraction:
     )
 
 
-def gram(g: int, n: int, k: int, space: str, jobs: int = 1) -> GramMatrix:
+def gram(g: int, n: int, k: int, space: str) -> GramMatrix:
     """Exact pairing matrix of the codimension-``k`` spanning set against
     the complementary one."""
     top = top_degree(space, g, n)
@@ -132,30 +105,8 @@ def gram(g: int, n: int, k: int, space: str, jobs: int = 1) -> GramMatrix:
         raise ValueError(f"codimension {k} outside 0..{top}")
     rows = decorated_basis(g, n, k, space)
     cols = decorated_basis(g, n, top - k, space)
-    if jobs > 1:
-        entries = _fill_parallel(g, n, k, space, len(rows), len(cols), jobs)
-    else:
-        entries = [[pairing_value(r, c, space) for c in cols] for r in rows]
+    entries = [[pairing_value(r, c, space) for c in cols] for r in rows]
     return GramMatrix(g, n, k, space, rows, cols, entries)
-
-
-def _entry_job(args):
-    g, n, k, space, i, j = args
-    top = top_degree(space, g, n)
-    rows = decorated_basis(g, n, k, space)
-    cols = decorated_basis(g, n, top - k, space)
-    return i, j, pairing_value(rows[i], cols[j], space)
-
-
-def _fill_parallel(g, n, k, space, n_rows, n_cols, jobs):
-    import multiprocessing
-
-    tasks = [(g, n, k, space, i, j) for i in range(n_rows) for j in range(n_cols)]
-    entries = [[Fraction(0)] * n_cols for _ in range(n_rows)]
-    with multiprocessing.Pool(jobs) as pool:
-        for i, j, value in pool.imap(_entry_job, tasks, chunksize=8):
-            entries[i][j] = value
-    return entries
 
 
 # -- exact linear algebra -----------------------------------------------
@@ -164,6 +115,7 @@ def _fill_parallel(g, n, k, space, n_rows, n_cols, jobs):
 def _integer_rows(entries) -> list[list[int]]:
     out = []
     for row in entries:
+        row = [Fraction(x) for x in row]
         denom = 1
         for x in row:
             denom = denom * x.denominator // gcd(denom, x.denominator)
@@ -171,29 +123,40 @@ def _integer_rows(entries) -> list[list[int]]:
     return out
 
 
-def matrix_rank(entries) -> int:
-    """Rank over the rationals via Bareiss fraction-free elimination."""
-    if not entries or not entries[0]:
-        return 0
+def _echelon(entries) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination over the integers.
+
+    Returns the pivot columns and one integer row per pivot, in reduced
+    echelon form scaled by the last pivot ``p``: row ``i`` holds ``p`` in
+    column ``pivots[i]`` and zero in the other pivot columns.  Every
+    update ``(p * a - f * b) // prev`` divides exactly (Bareiss): the
+    entries stay minors of the integer matrix.
+    """
     m = _integer_rows(entries)
-    n_rows, n_cols = len(m), len(m[0])
-    rank_count = 0
+    pivots: list[int] = []
     prev = 1
-    for col in range(n_cols):
-        piv = next((i for i in range(rank_count, n_rows) if m[i][col] != 0), None)
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if piv is None:
             continue
-        m[rank_count], m[piv] = m[piv], m[rank_count]
-        p = m[rank_count][col]
-        for i in range(rank_count + 1, n_rows):
-            for j in range(col + 1, n_cols):
-                m[i][j] = (p * m[i][j] - m[i][col] * m[rank_count][j]) // prev
-            m[i][col] = 0
+        m[r], m[piv] = m[piv], m[r]
+        pivot_row = m[r]
+        p = pivot_row[c]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], pivot_row)]
         prev = p
-        rank_count += 1
-        if rank_count == n_rows:
-            break
-    return rank_count
+        pivots.append(c)
+    return pivots, m[: len(pivots)]
+
+
+def matrix_rank(entries) -> int:
+    """Rank over the rationals by fraction-free elimination."""
+    return len(_echelon(entries)[0])
 
 
 def rank(m: GramMatrix) -> int:
@@ -208,55 +171,36 @@ def kernel_basis(m: GramMatrix) -> list[list[Fraction]]:
 
 
 def null_space(entries) -> list[list[Fraction]]:
-    """Primitive integer basis of ``{x : entries . x = 0}``."""
+    """Primitive integer basis of ``{x : entries . x = 0}``, one vector per
+    free column with a positive entry there."""
     if not entries:
         return []
+    pivots, rows = _echelon(entries)
+    # every row is scaled by the last pivot ``p``: ``p`` in a free column
+    # ``c`` balances ``-row[c]`` in each pivot column
+    p = rows[-1][pivots[-1]] if pivots else 1
+    sign = 1 if p > 0 else -1
     n_cols = len(entries[0])
-    mat = [[Fraction(x) for x in row] for row in entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(n_cols) if c not in pivots]
     basis = []
-    for c in free:
-        vec = [Fraction(0)] * n_cols
-        vec[c] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][c]
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in vec]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
-        basis.append([Fraction(x) for x in ints])
+    for c in range(n_cols):
+        if c in pivots:
+            continue
+        vec = [0] * n_cols
+        vec[c] = p
+        for pc, row in zip(pivots, rows):
+            vec[pc] = -row[c]
+        g = gcd(*vec)
+        basis.append([Fraction(sign * x // g) for x in vec])
     return basis
 
 
-def rank_table(g: int, n: int, space: str, jobs: int = 1) -> list[int]:
+def rank_table(g: int, n: int, space: str) -> list[int]:
     """Pairing rank in every codimension ``0..top``; symmetric halves are
     computed once (the two Gram matrices are transposes)."""
     top = top_degree(space, g, n)
     ranks = [0] * (top + 1)
     for k in range(top // 2 + 1):
-        r = rank(gram(g, n, k, space, jobs=jobs))
+        r = rank(gram(g, n, k, space))
         ranks[k] = r
         ranks[top - k] = r
     return ranks

@@ -35,9 +35,6 @@ class GStructure:
     beta: dict[int, int]  # G-half-edge -> A-half-edge
     edge_halves: frozenset[int]  # image of the non-leg half-edges
 
-    def gamma(self, A: StableGraph, h: int) -> int:
-        return self.alpha[A.vertex_of[h]]
-
 
 @dataclass(frozen=True)
 class PairStructure:

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import re
+
+import pytest
+
+import strataring
 from strataring.cli import main
 
 
@@ -75,9 +80,25 @@ def test_cache_flag_roundtrip(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_jobs_flag_is_deterministic(capsys):
-    main(["gram", "-g", "2", "-n", "0", "-k", "1", "--space", "mbar"])
-    serial = capsys.readouterr().out
-    main(["gram", "-g", "2", "-n", "0", "-k", "1", "--space", "mbar", "--jobs", "2"])
-    parallel = capsys.readouterr().out
-    assert serial == parallel
+def test_cache_with_unknown_kind_codes_is_skipped(fixtures_dir, tmp_path, capsys):
+    cache = tmp_path / "cache.txt"
+    cache.write_text("v1 1 1 x 1/24\nv1 1 1 7 1/24\n")
+    args = ["integrate", str(fixtures_dir / "worked_product_g.sum"), "--cache", str(cache)]
+    assert main(args) == 0
+    assert capsys.readouterr().err.count("corrupt cache line") == 2
+
+
+def test_public_surface(capsys):
+    for name in strataring.__all__:
+        assert hasattr(strataring, name), name
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    commands = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
+    assert set(commands.split(",")) == {
+        "multiply",
+        "integrate",
+        "enumerate",
+        "gram",
+        "rank-table",
+        "verify-relation",
+    }

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -62,6 +64,9 @@ def test_tau_known_values():
     assert wk_tau(3, (7,)) == F(1, 82944)
     assert wk_tau(3, (7, 1)) == F(5, 82944)
     assert wk_tau(3, (4, 4)) == F(607, 1451520)
+    # closed form <tau_{3g-2}>_g = 1 / (24^g g!)
+    for g in range(1, 6):
+        assert wk_tau(g, (3 * g - 2,)) == F(1, 24**g * factorial(g))
 
 
 def test_tau_off_dimension_is_zero():
@@ -254,14 +259,29 @@ def test_cache_roundtrip(tmp_path):
 
 def test_cache_ignores_corrupt_lines(tmp_path, capsys):
     path = tmp_path / "cache.txt"
-    path.write_text("v1 2 4 0 1/1152\nv1 bogus line\nv2 1 1 0 1/24\n")
+    path.write_text(
+        "v1 2 4 0 1/1152\nv1 bogus line\nv2 1 1 0 1/24\nv1 1 1 x 1/24\nv1 1 1 7 1/24\n"
+    )
     cache_clear()
     try:
         assert cache_load(str(path)) == 1
         assert cache_get(2, (4,), FUNDAMENTAL) == F(1, 1152)
     finally:
         cache_clear()
-    assert "corrupt cache line" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("corrupt cache line") == 4
+
+
+def test_cache_snapshot_ignores_a_stale_fixed_temp_path(tmp_path):
+    path = tmp_path / "cache.txt"
+    os.mkdir(str(path) + ".tmp")
+    cache_clear()
+    try:
+        cache_put(2, (4,), FUNDAMENTAL, F(1, 1152))
+        assert cache_snapshot(str(path)) == 1
+        assert path.read_text() == "v1 2 4 0 1/1152\n"
+        assert sorted(os.listdir(tmp_path)) == ["cache.txt", "cache.txt.tmp"]
+    finally:
+        cache_clear()
 
 
 def test_off_dimension_lookups_do_not_pollute_cache(tmp_path):

@@ -36,14 +36,32 @@ def test_matrix_rank_edge_cases():
     assert matrix_rank([[F(0), F(0)]]) == 0
     assert matrix_rank([[F(1), F(0)], [F(0), F(5)]]) == 2
     assert matrix_rank([[F(1, 3), F(2, 3)], [F(2), F(4)]]) == 1
+    # the first column's pivot sits below a zero: needs a row swap
+    assert matrix_rank([[F(0), F(0), F(2)], [F(0), F(3), F(1)], [F(5), F(1), F(1)]]) == 3
 
 
 def test_null_space_primitive_integer_vectors():
-    basis = null_space([[F(1), F(2), F(3)]])
-    assert len(basis) == 2
-    for v in basis:
-        assert v[0] * 1 + v[1] * 2 + v[2] * 3 == 0
-        assert all(x.denominator == 1 for x in v)
+    cases = [
+        ([[1, 2, 3]], [[-2, 1, 0], [-3, 0, 1]]),
+        # negative pivots
+        ([[-2, 1, 3], [4, -3, 1]], [[5, 7, 1]]),
+        ([[-3, 2, 0, 5], [1, -1, 2, 0]], [[4, 6, 1, 0], [5, 5, 0, 1]]),
+        # fractional entries
+        ([[F(1, 2), F(1, 3), F(-1, 6)]], [[-2, 3, 0], [1, 0, 3]]),
+        ([[F(2, 3), F(-1, 4), 1], [F(1, 5), F(1, 2), F(-3, 7)]], [[-165, 204, 161]]),
+        # a zero column
+        ([[0, 1, 2], [0, 2, 4]], [[1, 0, 0], [0, -2, 1]]),
+        # a free column before a pivot column
+        ([[1, 2, 0], [0, 0, 1]], [[-2, 1, 0]]),
+        # the zero matrix
+        ([[0, 0], [0, 0]], [[1, 0], [0, 1]]),
+    ]
+    for entries, expected in cases:
+        basis = null_space([[F(x) for x in row] for row in entries])
+        assert basis == [[F(x) for x in v] for v in expected]
+        for v in basis:
+            assert all(x.denominator == 1 for x in v)
+            assert all(sum(F(a) * x for a, x in zip(row, v)) == 0 for row in entries)
 
 
 def test_kernel_roundtrip_property():
