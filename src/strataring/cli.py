@@ -1,7 +1,7 @@
 """Command-line entry point for batch computations.
 
 Exit codes: 0 on success, 1 when a relation verification FAILs, 2 on
-malformed input.
+malformed input or arguments, or an unusable file.
 """
 
 from __future__ import annotations
@@ -29,6 +29,21 @@ def _add_common(p: argparse.ArgumentParser, *, space=False, gn=False, k=False):
     if space:
         p.add_argument("--space", choices=SPACES, default="mbar")
     p.add_argument("--cache", help="psi-integral cache file (also: STRATA_CACHE)")
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def _check_cache_path(path: str) -> None:
+    """Fail before computing when the cache could not be written back."""
+    if os.path.isdir(path):
+        raise ValueError(f"cache path {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"cache path {path!r} is in a missing directory")
 
 
 def _emit_matrix(m, scale, fmt, out=sys.stdout):
@@ -81,7 +96,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("gram", help="pairing matrix of complementary spanning sets")
     _add_common(p, space=True, gn=True, k=True)
-    p.add_argument("--scale", default="1", help="print entries times this rational")
+    p.add_argument(
+        "--scale", type=_rational, default="1", help="print entries times this rational"
+    )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("rank-table", help="pairing ranks in every codimension")
@@ -95,16 +112,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cache_path = getattr(args, "cache", None) or os.environ.get("STRATA_CACHE")
-    if cache_path:
-        cache_load(cache_path)
-
     try:
+        if cache_path:
+            _check_cache_path(cache_path)
+            cache_load(cache_path)
         code = _run(args)
-    except (grammar.ParseError, GraphError, ValueError) as exc:
+        if cache_path:
+            cache_snapshot(cache_path)
+    except (grammar.ParseError, GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cache_path:
-        cache_snapshot(cache_path)
     return code
 
 
@@ -138,7 +155,7 @@ def _run(args) -> int:
 
     if args.command == "gram":
         m = gram(args.g, args.n, args.k, args.space)
-        _emit_matrix(m, Fraction(args.scale), args.format)
+        _emit_matrix(m, args.scale, args.format)
         return 0
 
     if args.command == "rank-table":

@@ -1,14 +1,19 @@
 """Enumeration of stable graphs and decorated spanning sets.
 
-``stable_graphs(g, n, e)`` lists one representative per isomorphism class
-with exactly ``e`` edges.  Graphs with ``e`` edges are generated from
-those with ``e - 1`` by undoing an edge contraction (splitting a vertex,
-or trading a unit of vertex genus for a self-loop); contracting any edge
-of a stable graph is again stable, so the sweep is exhaustive.
+``stable_graphs(g, n, e, space)`` lists one representative per
+isomorphism class with exactly ``e`` edges that the space admits (all
+graphs, trees only, or trees with a single positive-genus vertex).
+Graphs with ``e`` edges are generated from those with ``e - 1`` by undoing
+an edge contraction (splitting a vertex, or trading a unit of vertex genus
+for a self-loop), and a refinement the space does not admit is dropped
+before its canonical form is taken.  Contracting any edge of a stable
+graph is again stable, and contracting an edge of a tree (with one
+positive-genus vertex) gives a tree (with one positive-genus vertex), so
+the sweep is exhaustive in each space.
 
-``decorated_basis`` filters by the target space (all graphs, trees only,
-or trees with a single positive-genus vertex) and decorates vertices with
-psi/kappa monomials below the boundary-expressibility bound
+``decorated_basis`` takes the graphs of its space from that sweep and
+decorates vertices with psi/kappa monomials below the
+boundary-expressibility bound
 ``codim(theta_v) < g(v) + [g(v)=0] - [n(v)=0]``.
 """
 
@@ -25,6 +30,8 @@ SPACES = ("mbar", "ct", "rt")
 
 def top_degree(space: str, g: int, n: int) -> int:
     """Degree of the socle for each flavor of moduli space."""
+    if g < 0 or n < 0:
+        raise ValueError(f"negative genus or leg count (g={g}, n={n})")
     if space == "mbar":
         return 3 * g - 3 + n
     if space == "ct":
@@ -45,18 +52,34 @@ def space_admits(G: StableGraph, space: str) -> bool:
     raise ValueError(f"unknown space {space!r}")
 
 
-@lru_cache(maxsize=None)
-def stable_graphs(g: int, n: int, edges: int) -> tuple[StableGraph, ...]:
+def stable_graphs(
+    g: int, n: int, edges: int, space: str = "mbar"
+) -> tuple[StableGraph, ...]:
     """All stable graphs of total genus ``g`` with legs ``1..n`` and the
-    given edge count, one per isomorphism class, sorted by canonical key."""
+    given edge count that ``space`` admits, one per isomorphism class,
+    sorted by canonical key."""
+    top_degree(space, g, n)  # rejects an unknown space and negative g, n
     if 2 * g - 2 + n <= 0:
         raise ValueError("unstable (g, n)")
+    if edges < 0:
+        raise ValueError("negative edge count")
+    if g == 0 and space == "ct":
+        space = "mbar"  # every genus-0 graph is a tree: share one sweep
+    return _stable_graphs(g, n, edges, space)
+
+
+# cached on the normalized arguments, so that every spelling of one request
+# returns the same objects (``structures`` caches by object identity)
+@lru_cache(maxsize=None)
+def _stable_graphs(g: int, n: int, edges: int, space: str) -> tuple[StableGraph, ...]:
     if edges == 0:
-        return (build_graph([g], legs={i: 0 for i in range(1, n + 1)}),)
+        G = build_graph([g], legs={i: 0 for i in range(1, n + 1)})
+        return (G,) if space_admits(G, space) else ()
     found: dict[object, StableGraph] = {}
-    for X in stable_graphs(g, n, edges - 1):
+    for X in stable_graphs(g, n, edges - 1, space):
         for Y in _one_edge_refinements(X):
-            found.setdefault(Y.canonical_key, Y)
+            if space_admits(Y, space):
+                found.setdefault(Y.canonical_key, Y)
     return tuple(found[k] for k in sorted(found))
 
 
@@ -182,9 +205,7 @@ def decorated_basis(g: int, n: int, k: int, space: str) -> tuple[DecoratedGraph,
         raise ValueError("codimension out of range")
     found: dict[object, DecoratedGraph] = {}
     for e in range(0, k + 1):
-        for G in stable_graphs(g, n, e):
-            if not space_admits(G, space):
-                continue
+        for G in stable_graphs(g, n, e, space):
             bounds = [vertex_decoration_bound(G, v) for v in range(G.n_vertices)]
             for dec in _graph_decorations(G, k - e, bounds):
                 d = DecoratedGraph(G, dec[0], dec[1])

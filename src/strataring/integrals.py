@@ -167,7 +167,7 @@ def cache_load(path: str) -> int:
                 code = EvaluationKind(int(kind)).value
                 num, den = frac.split("/")
                 value = Fraction(int(num), int(den))
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 print(
                     f"warning: ignoring corrupt cache line {lineno} in {path}",
                     file=sys.stderr,

@@ -166,17 +166,28 @@ def enumerate_generic_pairs(
     One representative graph per class is returned together with all raw
     generic pair structures on it (every edge covered by at least one of
     the two half-edge embeddings).
+
+    Carriers are taken from the narrowest of rt, ct and mbar that admits
+    both ``G`` and ``H``; no generic carrier lies outside it.  For two
+    trees: the uncontracted edges of a cycle of a carrier form a closed
+    walk in each tree that uses no edge twice, so there are none and the
+    cycle is left uncovered.  For two rt graphs: two positive-genus
+    vertices of a tree carrier lie in the fibre of the one positive vertex
+    on each side, so the path between them is left uncovered.
     """
     _check_compatible(G, H)
-    from .enumeration import stable_graphs
+    from .enumeration import space_admits, stable_graphs
 
     g, n = G.genus, G.n_legs
+    space = next(
+        s for s in ("rt", "ct", "mbar") if space_admits(G, s) and space_admits(H, s)
+    )
     max_interior_genus = min(
         max(G.genera, default=0), max(H.genera, default=0)
     )
     out = []
     for e in range(max(G.n_edges, H.n_edges), G.n_edges + H.n_edges + 1):
-        for A in stable_graphs(g, n, e):
+        for A in stable_graphs(g, n, e, space):
             if A.n_vertices < max(G.n_vertices, H.n_vertices):
                 continue
             if A.genera and max(A.genera) > max_interior_genus:

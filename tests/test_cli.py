@@ -68,6 +68,8 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("1 * graph g=2 n=0 { v0 genus=2; }\n")
     assert main(["integrate", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["integrate", str(tmp_path / "missing.sum")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cache_flag_roundtrip(tmp_path, capsys):
@@ -86,6 +88,43 @@ def test_cache_with_unknown_kind_codes_is_skipped(fixtures_dir, tmp_path, capsys
     args = ["integrate", str(fixtures_dir / "worked_product_g.sum"), "--cache", str(cache)]
     assert main(args) == 0
     assert capsys.readouterr().err.count("corrupt cache line") == 2
+
+
+def test_cache_with_a_zero_denominator_is_skipped(fixtures_dir, tmp_path, capsys):
+    cache = tmp_path / "cache.txt"
+    cache.write_text("v1 1 1 0 1/0\n")
+    args = ["integrate", str(fixtures_dir / "worked_product_g.sum"), "--cache", str(cache)]
+    assert main(args) == 0
+    assert capsys.readouterr().err.count("corrupt cache line") == 1
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_unwritable_cache_path_fails_before_computing(fixtures_dir, tmp_path, capsys, where):
+    cache = tmp_path if where == "directory" else tmp_path / "missing" / "cache.txt"
+    args = ["integrate", str(fixtures_dir / "worked_product_g.sum"), "--cache", str(cache)]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_zero_denominator_scale_is_an_argument_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gram", "-g", "1", "-n", "1", "-k", "0", "--scale", "1/0"])
+    assert exc.value.code == 2
+    assert "error: argument --scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank-table", "-g", "-1", "-n", "5"],
+        ["enumerate", "-g", "2", "-n", "-1", "-k", "0"],
+    ],
+)
+def test_negative_genus_or_leg_count_is_rejected(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: negative genus or leg count")
 
 
 def test_public_surface(capsys):

@@ -12,6 +12,28 @@ from strataring.enumeration import (
 from strataring.graphs import build_graph
 
 
+@pytest.mark.parametrize("space", ["ct", "rt"])
+def test_space_sweep_equals_the_filtered_full_sweep(space):
+    for g, n in [(0, 5), (1, 3), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]:
+        for e in range(4):
+            full = [G.canonical_key for G in stable_graphs(g, n, e) if space_admits(G, space)]
+            assert [G.canonical_key for G in stable_graphs(g, n, e, space)] == full
+
+
+def test_default_space_is_the_full_sweep():
+    assert stable_graphs(2, 1, 2) is stable_graphs(2, 1, 2, "mbar")
+
+
+def test_bad_arguments_are_rejected():
+    for args in [(2, 0, 1, "tree"), (-1, 5, 0), (2, -1, 0), (0, 2, 0), (2, 0, -1)]:
+        with pytest.raises(ValueError):
+            stable_graphs(*args)
+    with pytest.raises(ValueError):
+        top_degree("mbar", -1, 5)
+    with pytest.raises(ValueError):
+        decorated_basis(2, -1, 0, "mbar")
+
+
 def test_one_edge_counts():
     assert len(stable_graphs(0, 4, 1)) == 3
     assert len(stable_graphs(2, 0, 1)) == 2

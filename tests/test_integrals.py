@@ -261,6 +261,7 @@ def test_cache_ignores_corrupt_lines(tmp_path, capsys):
     path = tmp_path / "cache.txt"
     path.write_text(
         "v1 2 4 0 1/1152\nv1 bogus line\nv2 1 1 0 1/24\nv1 1 1 x 1/24\nv1 1 1 7 1/24\n"
+        "v1 1 1 0 1/0\n"
     )
     cache_clear()
     try:
@@ -268,7 +269,7 @@ def test_cache_ignores_corrupt_lines(tmp_path, capsys):
         assert cache_get(2, (4,), FUNDAMENTAL) == F(1, 1152)
     finally:
         cache_clear()
-    assert capsys.readouterr().err.count("corrupt cache line") == 4
+    assert capsys.readouterr().err.count("corrupt cache line") == 5
 
 
 def test_cache_snapshot_ignores_a_stale_fixed_temp_path(tmp_path):

@@ -125,3 +125,30 @@ def test_pairing_values_match_direct_integration():
             kind_for_space(space),
         )
         assert m.entries[i][j] == direct
+
+
+def _partition_numbers(m: int) -> list[int]:
+    p = [1] + [0] * m
+    for part in range(1, m + 1):
+        for total in range(part, m + 1):
+            p[total] += p[total - part]
+    return p
+
+
+def test_rational_tails_genus_g_oracle():
+    # Faber (arXiv:math/9711218): R*(M_g) is generated by kappa classes
+    # with no relation up to degree g // 3, so rank = p(d) there, and
+    # R^{g-2}(M_g) is one-dimensional
+    p = _partition_numbers(12)
+    for g in range(7, 13):
+        ranks = rank_table(g, 0, "rt")
+        top = top_degree("rt", g, 0)
+        assert len(ranks) == top + 1 and ranks[top] == 1
+        assert ranks[: g // 3 + 1] == p[: g // 3 + 1]
+        # the upper half is taken from the transposed matrices; check it
+        assert ranks == [rank(gram(g, 0, k, "rt")) for k in range(top + 1)]
+        assert ranks == ranks[::-1]
+
+
+def test_rational_tails_genus_nine_ranks():
+    assert rank_table(9, 0, "rt") == [1, 1, 2, 3, 3, 2, 1, 1]

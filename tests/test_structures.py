@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from strataring.enumeration import stable_graphs
 from strataring.graphs import build_graph
 from strataring.structures import (
     GenusMismatch,
     LabelMismatch,
+    _pairs_on,
     enumerate_g_structures,
     enumerate_generic_pairs,
 )
@@ -86,3 +88,34 @@ def test_pair_symmetry_and_free_action():
         assert len(pairs) % A.aut_order == 0
         common = sorted(len(p.common_edges) for p in pairs)
         assert common == sorted(len(p.common_edges) for p in mirror[A.canonical_key])
+
+
+def _pairs_over_every_graph(G, H):
+    out = []
+    for e in range(max(G.n_edges, H.n_edges), G.n_edges + H.n_edges + 1):
+        for A in stable_graphs(G.genus, G.n_legs, e):
+            pairs = _pairs_on(G, H, A)
+            if pairs:
+                out.append((A.canonical_key, len(pairs)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "g,n,space,max_edges",
+    [
+        (2, 2, "ct", 3),
+        (3, 1, "ct", 3),
+        (4, 0, "ct", 3),
+        (1, 4, "ct", 3),
+        (2, 3, "ct", 2),
+        (2, 3, "rt", 3),
+        (3, 3, "rt", 3),
+    ],
+)
+def test_narrowed_carriers_match_a_search_over_every_graph(g, n, space, max_edges):
+    # carriers of tree pairs (rt pairs) come from the ct (rt) sweep only
+    graphs = [G for e in range(max_edges + 1) for G in stable_graphs(g, n, e, space)]
+    for i, G in enumerate(graphs):
+        for H in graphs[i:]:
+            got = [(A.canonical_key, len(pairs)) for A, pairs in enumerate_generic_pairs(G, H)]
+            assert got == _pairs_over_every_graph(G, H)
