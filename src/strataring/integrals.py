@@ -331,29 +331,33 @@ def kappa_reduce(g: int, psi_exponents, kappa_indices, kind=FUNDAMENTAL) -> Frac
 
     One kappa index is removed per step by pushing forward along the map
     that forgets one extra point; lambda classes pull back along it, so
-    the same recursion applies to all three evaluation kinds.
+    the same recursion applies to all three evaluation kinds.  Every
+    value is memoized under ``(g, sorted psi, sorted kappa, kind)``,
+    kappa-free and genus-0 integrals included.
     """
     kind = evaluation_kind(kind)
     psi = tuple(sorted(psi_exponents, reverse=True))
     kap = tuple(sorted(kappa_indices, reverse=True))
     if any(b < 1 for b in kap):
         raise ValueError("kappa indices must be >= 1")
-    if not kap:
-        return hodge_psi(g, psi, kind)
     key = (g, psi, kap, kind.value)
     hit = _kappa_cache.get(key)
     if hit is not None:
         return hit
-    b1 = kap[0]
-    rest = kap[1:]
-    total = ZERO
-    for sub, mult in _submultisets(rest):
-        new_point = b1 + 1 + sum(sub)
-        total += (
-            (-1) ** len(sub)
-            * mult
-            * kappa_reduce(g, psi + (new_point,), _multiset_difference(rest, sub), kind)
-        )
+    if not kap:
+        # memoized here as well: genus-0 closed forms have no other memo
+        total = hodge_psi(g, psi, kind)
+    else:
+        b1 = kap[0]
+        rest = kap[1:]
+        total = ZERO
+        for sub, mult in _submultisets(rest):
+            new_point = b1 + 1 + sum(sub)
+            total += (
+                (-1) ** len(sub)
+                * mult
+                * kappa_reduce(g, psi + (new_point,), _multiset_difference(rest, sub), kind)
+            )
     _kappa_cache[key] = total
     return total
 

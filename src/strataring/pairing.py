@@ -9,6 +9,7 @@ row by row.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -97,14 +98,27 @@ def pairing_value(a: DecoratedGraph, b: DecoratedGraph, space: str) -> Fraction:
     )
 
 
+# a Gram fill with more pairings than this warns before it starts; the
+# 490 x 490 fill of gram(0, 7, 2, "mbar") runs for many minutes
+GRAM_WARN_PAIRINGS = 50_000
+
+
 def gram(g: int, n: int, k: int, space: str) -> GramMatrix:
     """Exact pairing matrix of the codimension-``k`` spanning set against
-    the complementary one."""
+    the complementary one.  Warns (``RuntimeWarning``) before filling more
+    than ``GRAM_WARN_PAIRINGS`` entries."""
     top = top_degree(space, g, n)
     if not (0 <= k <= top):
         raise ValueError(f"codimension {k} outside 0..{top}")
     rows = decorated_basis(g, n, k, space)
     cols = decorated_basis(g, n, top - k, space)
+    size = len(rows) * len(cols)
+    if size > GRAM_WARN_PAIRINGS:
+        warnings.warn(
+            f"gram({g}, {n}, {k}, {space!r}) fills {size} pairings; this may take very long",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     entries = [[pairing_value(r, c, space) for c in cols] for r in rows]
     return GramMatrix(g, n, k, space, rows, cols, entries)
 

@@ -7,6 +7,14 @@ and leg labels, and ``gamma`` (determined by ``alpha``) sends the
 remaining half-edges to the vertex they contract into.  The fiber of each
 ``G``-vertex must be a connected subgraph of the right genus.
 
+The search chooses the contracted edges first: every set of
+``eA - eG`` edges of ``A`` whose components (the fibres) have the genera,
+edge degrees and loop counts of the ``G``-vertices, then every matching
+of fibres to ``G``-vertices that respects the legs and the number of
+edges between each pair of vertices, then every bijection of edges within
+each vertex pair.  The fibres of each carrier are computed once per
+number of contracted edges.
+
 Structures are enumerated raw (no quotient by ``Aut(A)``); the action of
 ``Aut(A)`` on generic pair structures is free, a fact the multiplication
 routine relies on.
@@ -15,6 +23,7 @@ routine relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations, permutations, product
 
 from .graphs import StableGraph
 
@@ -59,6 +68,20 @@ def enumerate_g_structures(G: StableGraph, A: StableGraph) -> list[GStructure]:
 
 
 def _g_structures(G: StableGraph, A: StableGraph) -> list[GStructure]:
+    """Raw structures of ``G`` on ``A``, sorted by ``(A-edge index,
+    orientation)`` per ``G``-edge; ``beta`` lists the legs, then the
+    ``G``-edges in order.
+
+    Each structure contracts a set ``S`` of ``eA - eG`` edges of ``A`` and
+    covers the rest.  ``S`` is chosen first: its components, the fibres,
+    must be ``|V(G)|`` subgraphs with the genera, edge degrees and loop
+    counts of the ``G``-vertices.  Then the fibres are matched to
+    ``G``-vertices, consistently with the legs and so that every pair of
+    ``G``-vertices (a vertex with itself for loops) is joined by as many
+    covered edges as ``G``-edges.  Each match gives the product of the
+    edge bijections within the pairs: an edge between two vertices has one
+    orientation, a loop or an edge inside one fibre two.
+    """
     eG, eA = G.n_edges, A.n_edges
     if eG > eA or G.n_vertices > A.n_vertices:
         return []
@@ -71,90 +94,160 @@ def _g_structures(G: StableGraph, A: StableGraph) -> list[GStructure]:
         u, x = G.vertex_of[hG], A.vertex_of[hA]
         if req0.setdefault(x, u) != u:
             return []
-
     G_edges = G.edges
+    ends_G = [(G.vertex_of[h1], G.vertex_of[h2]) for h1, h2 in G_edges]
+    sig_G = _vertex_signatures(G.genera, ends_G)
+    records = _contractions(A, eA - eG).get(tuple(sorted(sig_G)))
+    if not records:
+        return []
+
+    pairs_G = sorted((u, w) if u <= w else (w, u) for u, w in ends_G)
+    one_edge_per_pair = len(set(pairs_G)) == eG
     A_edges = A.edges
-    out: list[GStructure] = []
+    class_G: dict[tuple, list[int]] = {}
+    for u, sig in enumerate(sig_G):
+        class_G.setdefault(sig, []).append(u)
 
-    def finalize(beta: dict[int, int], used: set[int], req: dict[int, int]) -> None:
-        # components of A with the covered edges removed
-        parent = list(range(A.n_vertices))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        internal = [0] * A.n_vertices
-        for idx, (h1, h2) in enumerate(A_edges):
-            if idx in used:
+    found = []  # (codes, alpha, edge_halves); code = 2 * A-edge + flipped
+    for comp, sigs, covered, ends in records:
+        halves = None
+        for match in _fibre_matches(comp, sigs, req0.items(), sig_G, class_G):
+            if sorted(
+                (match[a], match[b]) if match[a] <= match[b] else (match[b], match[a])
+                for a, b in ends
+            ) != pairs_G:
                 continue
-            a, b = find(A.vertex_of[h1]), find(A.vertex_of[h2])
-            if a == b:
-                internal[a] += 1
-            else:
-                parent[a] = b
-                internal[b] += internal[a] + 1
-        comps: dict[int, list[int]] = {}
-        for x in range(A.n_vertices):
-            comps.setdefault(find(x), []).append(x)
-        if len(comps) != G.n_vertices:
-            return
-        assign: dict[int, int] = {}
-        for x, u in req.items():
-            root = find(x)
-            if assign.setdefault(root, u) != u:
-                return
-        if G.n_vertices == 1:
-            assign = {next(iter(comps)): 0}
-        if len(assign) != len(comps):
-            return
-        if len(set(assign.values())) != G.n_vertices:
-            return
-        for root, members in comps.items():
-            u = assign[root]
-            fiber_genus = sum(A.genera[x] for x in members) + internal[find(root)] - len(members) + 1
-            if fiber_genus != G.genera[u]:
-                return
-        alpha = tuple(assign[find(x)] for x in range(A.n_vertices))
-        out.append(
-            GStructure(alpha, dict(beta), frozenset(beta[h] for h in beta if G.partner[h] != h))
-        )
+            # the covered A-edges each G-edge can go to, as codes
+            options = []
+            for u1, u2 in ends_G:
+                opts = []
+                for j, (a, b) in zip(covered, ends):
+                    v1, v2 = match[a], match[b]
+                    if v1 == u1 and v2 == u2:
+                        opts.append(2 * j)
+                        if u1 == u2:
+                            opts.append(2 * j + 1)
+                    elif v1 == u2 and v2 == u1:
+                        opts.append(2 * j + 1)
+                options.append(opts)
+            if halves is None:
+                halves = frozenset(h for j in covered for h in A_edges[j])
+            alpha = tuple(match[c] for c in comp)
+            for codes in product(*options):
+                # G-edges joining one vertex pair share their options
+                if one_edge_per_pair or len({code >> 1 for code in codes}) == eG:
+                    found.append((codes, alpha, halves))
+    found.sort()
 
-    genera_A, genera_G = A.genera, G.genera
-
-    def recurse(i: int, beta: dict[int, int], used: set[int], req: dict[int, int]) -> None:
-        if i == eG:
-            finalize(beta, used, req)
-            return
-        h1, h2 = G_edges[i]
-        u1, u2 = G.vertex_of[h1], G.vertex_of[h2]
-        for idx, (k1, k2) in enumerate(A_edges):
-            if idx in used:
-                continue
-            for a1, a2 in ((k1, k2), (k2, k1)):
-                x1, x2 = A.vertex_of[a1], A.vertex_of[a2]
-                if x1 == x2 and u1 != u2:
-                    continue
-                # a vertex only joins the fiber of a vertex of >= its genus
-                if genera_A[x1] > genera_G[u1] or genera_A[x2] > genera_G[u2]:
-                    continue
-                r1, r2 = req.get(x1), req.get(x2)
-                if (r1 is not None and r1 != u1) or (r2 is not None and r2 != u2):
-                    continue
-                new_req = dict(req)
-                new_req[x1] = u1
-                new_req[x2] = u2
-                beta[h1], beta[h2] = a1, a2
-                used.add(idx)
-                recurse(i + 1, beta, used, new_req)
-                used.discard(idx)
-                del beta[h1], beta[h2]
-        return
-
-    recurse(0, dict(beta0), set(), dict(req0))
+    oriented = []
+    for k1, k2 in A_edges:
+        oriented.append((k1, k2))
+        oriented.append((k2, k1))
+    edge_halves_G = [h for edge in G_edges for h in edge]
+    out = []
+    for codes, alpha, halves in found:
+        beta = dict(beta0)
+        beta.update(zip(edge_halves_G, chain.from_iterable(map(oriented.__getitem__, codes))))
+        out.append(GStructure(alpha, beta, halves))
     return out
+
+
+def _vertex_signatures(genera, ends) -> list[tuple[int, int, int]]:
+    """``(genus, edge degree, loops)`` of each vertex of a graph, or of each
+    fibre of a contraction, given the vertex pair at the ends of each edge."""
+    degree = [0] * len(genera)
+    loops = [0] * len(genera)
+    for a, b in ends:
+        degree[a] += 1
+        degree[b] += 1
+        if a == b:
+            loops[a] += 1
+    return [(g, d, l) for g, d, l in zip(genera, degree, loops)]
+
+
+def _fibre_matches(comp, sigs, pins, sig_G, class_G) -> list[list[int]]:
+    """Every bijection of fibres onto ``G``-vertices of the same signature
+    that sends the fibre of ``x`` to ``u`` for each leg pin ``(x, u)``."""
+    match = [-1] * len(sigs)
+    for x, u in pins:
+        c = comp[x]
+        if match[c] < 0 and sigs[c] == sig_G[u]:
+            match[c] = u
+        elif match[c] != u:
+            return []
+    pinned = [u for u in match if u >= 0]
+    if len(set(pinned)) < len(pinned):
+        return []  # two fibres pinned to one vertex
+    free: dict[tuple, list[int]] = {}
+    for c, u in enumerate(match):
+        if u < 0:
+            free.setdefault(sigs[c], []).append(c)
+    if not free:
+        return [match]
+    slots = []
+    pools = []
+    for sig, cs in free.items():
+        slots.extend(cs)
+        pools.append(permutations([u for u in class_G[sig] if u not in pinned]))
+    out = []
+    for choice in product(*pools):
+        full = list(match)
+        for c, u in zip(slots, chain.from_iterable(choice)):
+            full[c] = u
+        out.append(full)
+    return out
+
+
+# (genera, incidence, involution, contracted edge count) -> contractions
+_contraction_cache: dict[tuple, dict[tuple, list[tuple]]] = {}
+
+
+def _contractions(A: StableGraph, d: int) -> dict[tuple, list[tuple]]:
+    """Every way to contract ``d`` edges of ``A``, grouped by the sorted
+    signatures of its fibres (see :func:`_vertex_signatures`).  Each is
+    ``(fibre of each A-vertex, fibre signatures, covered A-edges, fibres at
+    the ends of each covered edge)``, in ``itertools.combinations`` order
+    of the contracted edges."""
+    key = (A.genera, A.vertex_of, A.partner, d)
+    table = _contraction_cache.get(key)
+    if table is not None:
+        return table
+    nA, eA = A.n_vertices, A.n_edges
+    ends_A = [(A.vertex_of[h1], A.vertex_of[h2]) for h1, h2 in A.edges]
+    genera_A = A.genera
+    table = {}
+    for S in combinations(range(eA), d):
+        parent = list(range(nA))
+        for j in S:
+            x, y = ends_A[j]
+            while parent[x] != x:
+                x = parent[x]
+            while parent[y] != y:
+                y = parent[y]
+            if x != y:
+                parent[x] = y
+        roots: dict[int, int] = {}
+        comp = []
+        fibre_genera = []
+        for x in range(nA):
+            r = x
+            while parent[r] != r:
+                r = parent[r]
+            c = roots.get(r)
+            if c is None:
+                c = roots[r] = len(fibre_genera)
+                fibre_genera.append(1)
+            comp.append(c)
+            fibre_genera[c] += genera_A[x] - 1
+        for j in S:
+            fibre_genera[comp[ends_A[j][0]]] += 1
+        contracted = set(S)
+        covered = tuple(j for j in range(eA) if j not in contracted)
+        ends = tuple((comp[ends_A[j][0]], comp[ends_A[j][1]]) for j in covered)
+        sigs = tuple(_vertex_signatures(fibre_genera, ends))
+        table.setdefault(tuple(sorted(sigs)), []).append((tuple(comp), sigs, covered, ends))
+    _contraction_cache[key] = table
+    return table
 
 
 def enumerate_generic_pairs(

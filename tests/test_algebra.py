@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strataring.algebra import (
     DecoratedGraph,
@@ -22,7 +25,7 @@ from strataring.algebra import (
     psi_apply,
     sigma,
 )
-from strataring.enumeration import decorated_basis, top_degree
+from strataring.enumeration import decorated_basis, stable_graphs, top_degree
 from strataring.graphs import build_graph
 from strataring.integrals import FUNDAMENTAL, integrate_sum
 from conftest import dec
@@ -196,3 +199,38 @@ def test_kappa_pullback_is_multiplication_by_kappa():
     host = FormalSum.unit(dec([1, 1], [(0, 1)], psi={0: 1}))
     kap2 = FormalSum.unit(dec([2], kappa={0: ((2, 1),)}))
     assert multiply(kap2, host) == kappa_pullback(2, host)
+
+
+@lru_cache(maxsize=None)
+def _graph_pool():
+    return [
+        G
+        for g, n in [(2, 0), (1, 2), (2, 1), (0, 5), (3, 0)]
+        for e in range(4)
+        for G in stable_graphs(g, n, e)
+    ]
+
+
+@st.composite
+def _decorated_and_relabeled(draw):
+    G = draw(st.sampled_from(_graph_pool()))
+    psi = draw(st.lists(st.integers(0, 2), min_size=G.n_halfedges, max_size=G.n_halfedges))
+    kappa = draw(
+        st.lists(
+            st.dictionaries(st.integers(1, 3), st.integers(1, 2), max_size=2),
+            min_size=G.n_vertices,
+            max_size=G.n_vertices,
+        )
+    )
+    d = DecoratedGraph(G, psi, [tuple(k.items()) for k in kappa])
+    hperm = draw(st.permutations(range(G.n_halfedges)))
+    vperm = draw(st.permutations(range(G.n_vertices)))
+    return d, d.relabeled(dict(enumerate(hperm)), dict(enumerate(vperm)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_decorated_and_relabeled())
+def test_decorated_canonical_key_is_invariant_under_relabeling(pair):
+    d, e = pair
+    assert e.canonical_key == d.canonical_key
+    assert e.aut_order == d.aut_order

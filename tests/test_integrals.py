@@ -294,3 +294,78 @@ def test_off_dimension_lookups_do_not_pollute_cache(tmp_path):
         assert "v1 3 1 0" not in path.read_text()
     finally:
         cache_clear()
+
+
+def _dfact(m: int) -> int:
+    return 1 if m <= 0 else m * _dfact(m - 2)
+
+
+_dvv_memo: dict = {}
+
+
+def _dvv(g: int, d: tuple[int, ...]) -> F:
+    """<tau_{d_1} ... tau_{d_n}>_g by the DVV (Virasoro) recursion on the
+    first listed point, with only the initial values <tau_0^3>_0 = 1 and
+    <tau_1>_1 = 1/24: no string or dilaton shortcuts, no sorting, and the
+    genus splits run over subsets of points, not of exponents."""
+    n = len(d)
+    if g < 0 or min(d, default=0) < 0 or 2 * g - 2 + n <= 0 or sum(d) != 3 * g - 3 + n:
+        return F(0)
+    if (g, n) in ((0, 3), (1, 1)):
+        return F(1) if g == 0 else F(1, 24)
+    key = (g, d)
+    if key in _dvv_memo:
+        return _dvv_memo[key]
+    k, rest = d[0] - 1, d[1:]
+    total = F(0)
+    for j, dj in enumerate(rest):
+        shifted = rest[:j] + (dj + k,) + rest[j + 1 :]
+        total += F(_dfact(2 * k + 2 * dj + 1), _dfact(2 * dj - 1)) * _dvv(g, shifted)
+    for r in range(k):
+        s = k - 1 - r
+        w = F(_dfact(2 * r + 1) * _dfact(2 * s + 1), 2)
+        total += w * _dvv(g - 1, (r, s) + rest)
+        for mask in range(1 << len(rest)):
+            left = tuple(x for i, x in enumerate(rest) if mask >> i & 1)
+            right = tuple(x for i, x in enumerate(rest) if not mask >> i & 1)
+            for g1 in range(g + 1):
+                total += w * _dvv(g1, (r,) + left) * _dvv(g - g1, (s,) + right)
+    value = total / _dfact(2 * k + 3)
+    _dvv_memo[key] = value
+    return value
+
+
+def _exponent_vectors(total: int, n: int):
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _exponent_vectors(total - first, n - 1):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("g,max_n", [(0, 4), (1, 4), (2, 4), (3, 4), (4, 2)])
+def test_wk_tau_agrees_with_dvv_recursion(g, max_n):
+    for n in range(1, max_n + 1):
+        dim = 3 * g - 3 + n
+        for d in _exponent_vectors(max(dim, 0), n):
+            assert wk_tau(g, d) == _dvv(g, d), (g, d)
+        off = (dim + 1,) + (0,) * (n - 1)
+        assert wk_tau(g, off) == _dvv(g, off) == 0
+
+
+def test_genus_zero_vertex_integrals_are_memoized(monkeypatch):
+    import strataring.integrals as integrals
+
+    calls = []
+    real = integrals.wk_tau
+    monkeypatch.setattr(integrals, "wk_tau", lambda g, d: calls.append(g) or real(g, d))
+    cache_clear()
+    try:
+        for _ in range(3):
+            assert kappa_reduce(0, (1, 0, 0, 0), ()) == 1
+            assert kappa_reduce(0, (0, 1, 0, 0), (), LAMBDA_PAIR) == 1
+        assert calls == [0, 0]  # once per kind
+    finally:
+        cache_clear()

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import random
+import warnings
 from fractions import Fraction as F
+
+import pytest
 
 from strataring.algebra import FormalSum, multiply
 from strataring.enumeration import decorated_basis, top_degree
@@ -152,3 +155,15 @@ def test_rational_tails_genus_g_oracle():
 
 def test_rational_tails_genus_nine_ranks():
     assert rank_table(9, 0, "rt") == [1, 1, 2, 3, 3, 2, 1, 1]
+
+
+def test_large_gram_fill_warns(monkeypatch):
+    import strataring.pairing as pairing
+
+    monkeypatch.setattr(pairing, "GRAM_WARN_PAIRINGS", 3)
+    with pytest.warns(RuntimeWarning, match="fills 4 pairings"):
+        m = pairing.gram(2, 0, 1, "mbar")
+    assert rank(m) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gram(0, 3, 0, "mbar")  # one pairing, below the threshold

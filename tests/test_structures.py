@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strataring.enumeration import stable_graphs
 from strataring.graphs import build_graph
 from strataring.structures import (
     GenusMismatch,
+    GStructure,
     LabelMismatch,
     _pairs_on,
     enumerate_g_structures,
@@ -119,3 +124,137 @@ def test_narrowed_carriers_match_a_search_over_every_graph(g, n, space, max_edge
         for H in graphs[i:]:
             got = [(A.canonical_key, len(pairs)) for A, pairs in enumerate_generic_pairs(G, H)]
             assert got == _pairs_over_every_graph(G, H)
+
+
+def _backtracking_structures(G, A):
+    """Reference search: try every injective, oriented map of G's edges
+    into A's edges in order, then check the fibres.  Returns the
+    structures in the order of that recursion."""
+    if G.n_edges > A.n_edges or G.n_vertices > A.n_vertices:
+        return []
+    beta0, req0 = {}, {}
+    for label, hG in G.legs:
+        hA = A.leg_of_label[label]
+        beta0[hG] = hA
+        u, x = G.vertex_of[hG], A.vertex_of[hA]
+        if req0.setdefault(x, u) != u:
+            return []
+    out = []
+
+    def finalize(beta, used, req):
+        parent = list(range(A.n_vertices))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        internal = [0] * A.n_vertices
+        for idx, (h1, h2) in enumerate(A.edges):
+            if idx in used:
+                continue
+            a, b = find(A.vertex_of[h1]), find(A.vertex_of[h2])
+            if a == b:
+                internal[a] += 1
+            else:
+                parent[a] = b
+                internal[b] += internal[a] + 1
+        comps = {}
+        for x in range(A.n_vertices):
+            comps.setdefault(find(x), []).append(x)
+        if len(comps) != G.n_vertices:
+            return
+        assign = {}
+        for x, u in req.items():
+            if assign.setdefault(find(x), u) != u:
+                return
+        if G.n_vertices == 1:
+            assign = {next(iter(comps)): 0}
+        if len(assign) != len(comps) or len(set(assign.values())) != G.n_vertices:
+            return
+        for root, members in comps.items():
+            genus = sum(A.genera[x] for x in members) + internal[root] - len(members) + 1
+            if genus != G.genera[assign[root]]:
+                return
+        alpha = tuple(assign[find(x)] for x in range(A.n_vertices))
+        halves = frozenset(beta[h] for h in beta if G.partner[h] != h)
+        out.append(GStructure(alpha, dict(beta), halves))
+
+    def recurse(i, beta, used, req):
+        if i == G.n_edges:
+            finalize(beta, used, req)
+            return
+        h1, h2 = G.edges[i]
+        u1, u2 = G.vertex_of[h1], G.vertex_of[h2]
+        for idx, (k1, k2) in enumerate(A.edges):
+            if idx in used:
+                continue
+            for a1, a2 in ((k1, k2), (k2, k1)):
+                x1, x2 = A.vertex_of[a1], A.vertex_of[a2]
+                if x1 == x2 and u1 != u2:
+                    continue
+                if req.get(x1, u1) != u1 or req.get(x2, u2) != u2:
+                    continue
+                new_req = dict(req)
+                new_req[x1], new_req[x2] = u1, u2
+                beta[h1], beta[h2] = a1, a2
+                recurse(i + 1, beta, used | {idx}, new_req)
+                del beta[h1], beta[h2]
+
+    recurse(0, dict(beta0), frozenset(), dict(req0))
+    return out
+
+
+def _as_data(structures):
+    # beta as an item list, so that its key order is compared too
+    return [(s.alpha, list(s.beta.items()), s.edge_halves) for s in structures]
+
+
+@pytest.mark.parametrize(
+    "g,n,space,max_edges",
+    [
+        (0, 5, "mbar", 2),
+        (1, 3, "mbar", 3),
+        (2, 1, "mbar", 4),
+        (2, 2, "mbar", 4),
+        (3, 0, "mbar", 6),
+        (3, 1, "ct", 4),
+        (3, 1, "rt", 2),
+        (2, 3, "rt", 3),
+    ],
+)
+def test_structures_match_the_edge_map_backtracking(g, n, space, max_edges):
+    graphs = [G for e in range(max_edges + 1) for G in stable_graphs(g, n, e, space)]
+    for G in graphs:
+        for A in graphs:
+            if A.n_edges >= G.n_edges:
+                got = enumerate_g_structures(G, A)
+                assert _as_data(got) == _as_data(_backtracking_structures(G, A)), (G, A)
+
+
+@lru_cache(maxsize=None)
+def _graphs_with_at_most_three_edges(g, n):
+    return [G for e in range(4) for G in stable_graphs(g, n, e)]
+
+
+@st.composite
+def _relabeled(draw, G):
+    hperm = draw(st.permutations(range(G.n_halfedges)))
+    vperm = draw(st.permutations(range(G.n_vertices)))
+    return G.relabeled(dict(enumerate(hperm)), dict(enumerate(vperm)))
+
+
+@st.composite
+def _graph_pairs(draw):
+    g, n = draw(st.sampled_from([(0, 5), (1, 3), (2, 1), (2, 2), (3, 0)]))
+    graphs = _graphs_with_at_most_three_edges(g, n)
+    G = draw(st.sampled_from(graphs))
+    A = draw(st.sampled_from([A for A in graphs if A.n_edges >= G.n_edges]))
+    return G, A, draw(_relabeled(G)), draw(_relabeled(A))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_graph_pairs())
+def test_structure_count_is_invariant_under_relabeling(graphs):
+    G, A, G2, A2 = graphs
+    assert len(enumerate_g_structures(G2, A2)) == len(enumerate_g_structures(G, A))
