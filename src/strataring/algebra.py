@@ -91,6 +91,19 @@ class DecoratedGraph:
     def canonical_key(self):
         return self._canon[0]
 
+    @cached_property
+    def _interned(self):
+        """``(representative, psi, kappa)``: the decoration moved onto the
+        interned representative of the graph (see :func:`graphs.intern`)."""
+        rep, hmap, vmap = intern(self.graph)
+        psi = [0] * len(self.psi)
+        for h, e in enumerate(self.psi):
+            psi[hmap[h]] = e
+        kappa = [()] * self.graph.n_vertices
+        for v, k in enumerate(self.kappa):
+            kappa[vmap[v]] = k
+        return rep, tuple(psi), tuple(kappa)
+
     @property
     def aut_order(self) -> int:
         """Automorphisms preserving the decorations."""
@@ -290,34 +303,40 @@ def _multinomial(total: int, counts) -> int:
     return out
 
 
-def _expand_structure_raw(
-    A: StableGraph,
-    pair: PairStructure,
-    psiG,
-    kappaG,
-    psiH,
-    kappaH,
-):
-    """Expansion of one structure's contribution, yielded as raw
-    ``(signed integer coefficient, psi tuple, kappa item tuples)`` terms on
-    ``A`` (without the ``1/|Aut A|`` weight)."""
+def _sparse(psi, kappa):
+    """A decoration as ``(half-edge, exponent)`` items of its nonzero psi
+    exponents and ``(vertex, j, f)`` items of its kappa monomials, in
+    half-edge and vertex order."""
+    return (
+        tuple((h, e) for h, e in enumerate(psi) if e),
+        tuple((u, j, f) for u, monomial in enumerate(kappa) for j, f in monomial),
+    )
+
+
+def _transport(A: StableGraph, pair: PairStructure, decoG, decoH):
+    """The decorations of ``G`` and ``H`` transported onto ``A`` through one
+    pair structure, given as :func:`_sparse` items: the psi exponent of
+    every ``A``-half-edge, and one ``(fibre, j, f)`` kappa job per kappa_j^f
+    of a ``G``- or ``H``-vertex, whose fibre is the tuple of ``A``-vertices
+    over it (left jobs first, each side in vertex order)."""
     base_psi = [0] * A.n_halfedges
-    for h, e in enumerate(psiG):
-        if e:
-            base_psi[pair.left.beta[h]] += e
-    for h, e in enumerate(psiH):
-        if e:
-            base_psi[pair.right.beta[h]] += e
+    jobs = []
+    for structure, (psi_items, kappa_items) in ((pair.left, decoG), (pair.right, decoH)):
+        beta = structure.beta
+        for h, e in psi_items:
+            base_psi[beta[h]] += e
+        if kappa_items:
+            alpha = structure.alpha
+            for u, j, f in kappa_items:
+                jobs.append((tuple(x for x, w in enumerate(alpha) if w == u), j, f))
+    return tuple(base_psi), tuple(jobs)
 
-    kappa_jobs = []  # (fiber vertices, j, f)
-    for structure, kappa in ((pair.left, kappaG), (pair.right, kappaH)):
-        fibers: dict[int, list[int]] = {}
-        for x, u in enumerate(structure.alpha):
-            fibers.setdefault(u, []).append(x)
-        for u, monomial in enumerate(kappa):
-            for j, f in monomial:
-                kappa_jobs.append((fibers[u], j, f))
 
+def _expand_transported(A: StableGraph, base_psi, kappa_jobs, common_edges):
+    """Expansion of transported decorations, yielded as raw ``(signed
+    integer coefficient, psi tuple, kappa item tuples)`` terms on ``A``:
+    each kappa job is spread multinomially over its fibre, and each common
+    edge contributes ``(-psi' - psi'')``."""
     job_expansions = []
     for fiber, j, f in kappa_jobs:
         opts = []
@@ -329,8 +348,8 @@ def _expand_structure_raw(
             opts.append((coeff, placement))
         job_expansions.append(opts)
 
-    excess_options = [((e[0],), (e[1],)) for e in pair.common_edges]
-    sign = (-1) ** len(pair.common_edges)
+    excess_options = [((e[0],), (e[1],)) for e in common_edges]
+    sign = (-1) ** len(common_edges)
 
     out = []
 
@@ -364,6 +383,23 @@ def _expand_structure_raw(
     return out
 
 
+def _expand_structure_raw(
+    A: StableGraph,
+    pair: PairStructure,
+    psiG,
+    kappaG,
+    psiH,
+    kappaH,
+):
+    """Expansion of one structure's contribution, yielded as raw
+    ``(signed integer coefficient, psi tuple, kappa item tuples)`` terms on
+    ``A`` (without the ``1/|Aut A|`` weight)."""
+    base_psi, kappa_jobs = _transport(
+        A, pair, _sparse(psiG, kappaG), _sparse(psiH, kappaH)
+    )
+    return _expand_transported(A, base_psi, kappa_jobs, pair.common_edges)
+
+
 def expand_pair_structure(
     A: StableGraph,
     pair: PairStructure,
@@ -382,17 +418,6 @@ def expand_pair_structure(
     ]
 
 
-def _interned_decorated(d: DecoratedGraph):
-    rep, hmap, vmap = intern(d.graph)
-    psi = [0] * len(d.psi)
-    for h, e in enumerate(d.psi):
-        psi[hmap[h]] = e
-    kappa = [()] * d.graph.n_vertices
-    for v, k in enumerate(d.kappa):
-        kappa[vmap[v]] = k
-    return rep, tuple(psi), tuple(kappa)
-
-
 def pair_contributions(x: DecoratedGraph, y: DecoratedGraph):
     """Per-structure expansions of a product of two decorated graphs.
 
@@ -401,8 +426,8 @@ def pair_contributions(x: DecoratedGraph, y: DecoratedGraph):
     ``1/|Aut(carrier)|`` weight; summing the weighted terms over all
     structures reproduces ``multiply``.
     """
-    RG, psiG, kappaG = _interned_decorated(x)
-    RH, psiH, kappaH = _interned_decorated(y)
+    RG, psiG, kappaG = x._interned
+    RH, psiH, kappaH = y._interned
     for A, pairs in _generic_pairs_interned(RG, RH):
         for pair in pairs:
             yield A, pair, expand_pair_structure(A, pair, psiG, kappaG, psiH, kappaH)
@@ -414,9 +439,9 @@ def multiply(x: FormalSum, y: FormalSum) -> FormalSum:
         raise SpaceMismatch("factors live on different moduli spaces")
     out = FormalSum(x.g, x.n)
     for cG, dgG in x.terms.values():
-        RG, psiG, kappaG = _interned_decorated(dgG)
+        RG, psiG, kappaG = dgG._interned
         for cH, dgH in y.terms.values():
-            RH, psiH, kappaH = _interned_decorated(dgH)
+            RH, psiH, kappaH = dgH._interned
             c = cG * cH
             for A, pairs in _generic_pairs_interned(RG, RH):
                 weight = c / A.aut_order

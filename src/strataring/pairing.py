@@ -17,12 +17,13 @@ from math import gcd
 from .algebra import (
     DecoratedGraph,
     FormalSum,
-    _expand_structure_raw,
+    _expand_transported,
     _generic_pairs_interned,
-    _interned_decorated,
+    _sparse,
+    _transport,
     homogeneous_codim,
 )
-from .enumeration import decorated_basis, top_degree
+from .enumeration import decorated_basis, space_admits, top_degree
 from .integrals import EvaluationKind, evaluation_kind, hodge_split, kappa_reduce
 
 
@@ -35,45 +36,97 @@ def integrate_product(x: FormalSum, y: FormalSum, kind) -> Fraction:
     """Integral of the product of two sums, fused for speed.
 
     Equivalent to ``integrate_sum(multiply(x, y), kind)`` but skips the
-    canonical merging of product terms: every expansion term is integrated
-    directly (the memoized vertex integrals make isomorphic repeats
-    cheap), with early exits on off-dimension vertices.
+    canonical merging of product terms.  The integrated expansion of a
+    pair structure depends only on its value key: the carrier, the
+    decorations transported onto it and the common edges (see
+    :func:`_carrier_total`).  Each key is expanded and integrated once per
+    call, in a memo that lives only for the call.  A term pair whose
+    graphs the space of ``kind`` does not admit is skipped before any
+    carrier is built: ct and rt graphs are closed under contraction, so
+    none of its carriers is admitted either.
     """
     kind = evaluation_kind(kind)
-    top = top_degree(kind.space, x.g, x.n)
+    space = kind.space
+    top = top_degree(space, x.g, x.n)
+    # id(carrier) -> (carrier, split, {value key: value}); holding the
+    # carrier keeps its id from being reused during the call
+    memo: dict[int, tuple] = {}
     total = Fraction(0)
+    ys = []
+    for cH, dgH in y.terms.values():
+        RH, psiH, kappaH = dgH._interned
+        if space_admits(RH, space):
+            ys.append((cH, dgH.codim, RH, _sparse(psiH, kappaH)))
     for cG, dgG in x.terms.values():
-        RG, psiG, kappaG = _interned_decorated(dgG)
-        for cH, dgH in y.terms.values():
-            if dgG.codim + dgH.codim != top:
+        RG, psiG, kappaG = dgG._interned
+        if not space_admits(RG, space):
+            continue
+        decoG = _sparse(psiG, kappaG)
+        for cH, codimH, RH, decoH in ys:
+            if dgG.codim + codimH != top:
                 continue
-            RH, psiH, kappaH = _interned_decorated(dgH)
             c = cG * cH
             for A, pairs in _generic_pairs_interned(RG, RH):
-                split = hodge_split(A, kind)
+                entry = memo.get(id(A))
+                if entry is None:
+                    entry = memo[id(A)] = (A, hodge_split(A, kind), {})
+                _, split, values = entry
                 if split is None:
                     continue
-                halfedges_at = A.halfedges_at
-                weight = c / A.aut_order
-                for pair in pairs:
-                    for coeff, psi, kappa in _expand_structure_raw(
-                        A, pair, psiG, kappaG, psiH, kappaH
-                    ):
-                        value = Fraction(coeff)
-                        for v in range(A.n_vertices):
-                            gv, vkind, vtop = split[v]
-                            psis = tuple(psi[h] for h in halfedges_at[v])
-                            kap = tuple(j for j, f in kappa[v] for _ in range(f))
-                            if sum(psis) + sum(kap) != vtop:
-                                value = Fraction(0)
-                                break
-                            factor = kappa_reduce(gv, psis, kap, vkind)
-                            if factor == 0:
-                                value = Fraction(0)
-                                break
-                            value *= factor
-                        if value:
-                            total += weight * value
+                value = _carrier_total(A, split, pairs, decoG, decoH, values)
+                if value:
+                    total += c * value / A.aut_order
+    return total
+
+
+def _carrier_total(A, split, pairs, decoG, decoH, values) -> Fraction:
+    """Sum over ``pairs`` of the integrated expansion of each structure on
+    ``A``, without the ``1/|Aut A|`` weight.
+
+    The value key of a structure is its transported psi exponents, its
+    kappa jobs ``(fibre, j, f)`` in sorted order and its common edges;
+    ``values`` maps the keys on ``A`` to their values and is filled on a
+    miss.  ``split`` is ``hodge_split(A, kind)``.
+    """
+    tally: dict[tuple, int] = {}
+    for pair in pairs:
+        base_psi, jobs = _transport(A, pair, decoG, decoH)
+        if len(jobs) > 1:
+            jobs = tuple(sorted(jobs))
+        key = (base_psi, jobs, pair.common_edges)
+        tally[key] = tally.get(key, 0) + 1
+    total = Fraction(0)
+    for key, count in tally.items():
+        value = values.get(key)
+        if value is None:
+            value = values[key] = _integrated_expansion(A, split, *key)
+        if value:
+            total += value * count
+    return total
+
+
+def _integrated_expansion(A, split, base_psi, kappa_jobs, common_edges) -> Fraction:
+    """Integral of the expansion of transported decorations on ``A``: the
+    product of the vertex integrals of each term, summed."""
+    halfedges_at = A.halfedges_at
+    total = Fraction(0)
+    for coeff, psi, kappa in _expand_transported(A, base_psi, kappa_jobs, common_edges):
+        value = coeff
+        for v, (gv, vkind, vtop) in enumerate(split):
+            psis = tuple(psi[h] for h in halfedges_at[v])
+            kap = tuple(j for j, f in kappa[v] for _ in range(f))
+            if sum(psis) + sum(kap) != vtop:
+                value = 0
+                break
+            factor = kappa_reduce(gv, psis, kap, vkind)
+            if factor == 0:
+                value = 0
+                break
+            # the Fraction on the left: ``int * Fraction`` goes through the
+            # slow ``numbers.Rational`` check
+            value = factor * value
+        if value:
+            total += value
     return total
 
 
@@ -106,12 +159,14 @@ GRAM_WARN_PAIRINGS = 50_000
 def gram(g: int, n: int, k: int, space: str) -> GramMatrix:
     """Exact pairing matrix of the codimension-``k`` spanning set against
     the complementary one.  Warns (``RuntimeWarning``) before filling more
-    than ``GRAM_WARN_PAIRINGS`` entries."""
+    than ``GRAM_WARN_PAIRINGS`` entries.  In the middle codimension the
+    rows are the columns and the pairing commutes, so only the upper
+    triangle is computed."""
     top = top_degree(space, g, n)
     if not (0 <= k <= top):
         raise ValueError(f"codimension {k} outside 0..{top}")
     rows = decorated_basis(g, n, k, space)
-    cols = decorated_basis(g, n, top - k, space)
+    cols = rows if 2 * k == top else decorated_basis(g, n, top - k, space)
     size = len(rows) * len(cols)
     if size > GRAM_WARN_PAIRINGS:
         warnings.warn(
@@ -119,7 +174,13 @@ def gram(g: int, n: int, k: int, space: str) -> GramMatrix:
             RuntimeWarning,
             stacklevel=2,
         )
-    entries = [[pairing_value(r, c, space) for c in cols] for r in rows]
+    if cols is rows:
+        entries = [[None] * len(cols) for _ in rows]
+        for i, r in enumerate(rows):
+            for j in range(i, len(cols)):
+                entries[i][j] = entries[j][i] = pairing_value(r, cols[j], space)
+    else:
+        entries = [[pairing_value(r, c, space) for c in cols] for r in rows]
     return GramMatrix(g, n, k, space, rows, cols, entries)
 
 

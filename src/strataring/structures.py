@@ -306,21 +306,38 @@ def _g_structures_cached(G: StableGraph, A: StableGraph) -> list[GStructure]:
 
 
 def _pairs_on(G: StableGraph, H: StableGraph, A: StableGraph) -> list[PairStructure]:
+    """Generic pair structures on ``A``, ordered by the structure of ``G``,
+    then by that of ``H``.  A pair is generic when the two images cover
+    every edge half: the test runs on int masks of half-edges, once per
+    distinct ``G``-image, and a pair's common edges are those inside both
+    images."""
     SG = _g_structures_cached(G, A)
     if not SG:
         return []
     SH = SG if H is G else _g_structures_cached(H, A)
     if not SH:
         return []
-    all_halves = frozenset(
-        h for h in range(A.n_halfedges) if A.partner[h] != h
-    )
+    full = _mask(h for h in range(A.n_halfedges) if A.partner[h] != h)
+    edge_masks = [(e, (1 << e[0]) | (1 << e[1])) for e in A.edges]
+    masks_H = [_mask(t.edge_halves) for t in SH]
+    partners: dict[int, list] = {}  # G-image mask -> [(t, common edges)]
     pairs = []
     for s in SG:
-        for t in SH:
-            if s.edge_halves | t.edge_halves != all_halves:
-                continue
-            shared = s.edge_halves & t.edge_halves
-            common = tuple(e for e in A.edges if e[0] in shared and e[1] in shared)
+        ms = _mask(s.edge_halves)
+        found = partners.get(ms)
+        if found is None:
+            found = partners[ms] = []
+            for t, mt in zip(SH, masks_H):
+                if ms | mt == full:
+                    shared = ms & mt
+                    found.append((t, tuple(e for e, m in edge_masks if shared & m == m)))
+        for t, common in found:
             pairs.append(PairStructure(s, t, common))
     return pairs
+
+
+def _mask(halves) -> int:
+    out = 0
+    for h in halves:
+        out |= 1 << h
+    return out

@@ -167,3 +167,26 @@ def test_large_gram_fill_warns(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gram(0, 3, 0, "mbar")  # one pairing, below the threshold
+
+
+@pytest.mark.parametrize("g,n,k,space", [(2, 1, 2, "mbar"), (4, 0, 1, "rt")])
+def test_middle_gram_computes_one_triangle(monkeypatch, g, n, k, space):
+    import strataring.pairing as pairing
+
+    calls = []
+    real = pairing.pairing_value
+
+    def counted(a, b, sp):
+        calls.append((a, b))
+        return real(a, b, sp)
+
+    monkeypatch.setattr(pairing, "pairing_value", counted)
+    monkeypatch.setattr(pairing, "GRAM_WARN_PAIRINGS", 0)
+    size = len(decorated_basis(g, n, k, space))
+    # the warning still counts the whole matrix
+    with pytest.warns(RuntimeWarning, match=f"fills {size * size} pairings"):
+        m = pairing.gram(g, n, k, space)
+    assert 2 * k == top_degree(space, g, n) and list(m.rows) == list(m.cols)
+    assert len(calls) == size * (size + 1) // 2
+    full = [[real(r, c, space) for c in m.cols] for r in m.rows]
+    assert m.entries == full
