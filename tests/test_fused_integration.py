@@ -109,7 +109,7 @@ def test_keyed_values_match_the_unmemoized_expansion():
         for g, n, space in [(2, 1, "mbar"), (2, 2, "ct")]
         for x, y in _term_pairs(g, n, space)
     ]
-    memo = {}  # id(carrier) -> (carrier, {value key: value}), as in one call
+    memo = {}  # (id(carrier), kind) -> (carrier, {value key: value}), as in a call
     checked = multi_vertex_fibres = 0
     keys_by_psi: dict[tuple, set] = {}  # (carrier, psi, kappa) -> common edges
     for x, y, space in cases:
