@@ -15,6 +15,12 @@ multiplies by ``(-psi' - psi'')`` for every common edge.  A term ``[T]``
 of a sum stands for the unnormalized pushforward of its decoration; the
 class conventionally written with a ``1/|Aut|`` in front is produced by
 :func:`sigma`.
+
+That expansion depends only on the value key of a structure (the carrier,
+the transported decorations and the common edges), so :func:`multiply`
+expands each value key once per call and takes the canonical form of
+each distinct raw decoration on a carrier once, not of every expansion
+term.
 """
 
 from __future__ import annotations
@@ -332,6 +338,29 @@ def _transport(A: StableGraph, pair: PairStructure, decoG, decoH):
     return tuple(base_psi), tuple(jobs)
 
 
+def _value_tally(A: StableGraph, pairs, decoG, decoH) -> dict[tuple, list]:
+    """The structures in ``pairs`` counted per value key on ``A``, as
+    ``{key: [count, jobs]}`` in the order in which the keys first occur.
+
+    The value key of a structure is its transported psi exponents, its
+    kappa jobs ``(fibre, j, f)`` in sorted order and its common edges (see
+    :func:`_transport`); its contribution depends on nothing else.
+    ``jobs`` are the kappa jobs of the first structure with the key, in
+    transported order, so that :func:`_expand_transported` lists the raw
+    terms in the order of that structure's own expansion.
+    """
+    tally: dict[tuple, list] = {}
+    for pair in pairs:
+        base_psi, jobs = _transport(A, pair, decoG, decoH)
+        key = (base_psi, tuple(sorted(jobs)) if len(jobs) > 1 else jobs, pair.common_edges)
+        entry = tally.get(key)
+        if entry is None:
+            tally[key] = [1, jobs]
+        else:
+            entry[0] += 1
+    return tally
+
+
 def _expand_transported(A: StableGraph, base_psi, kappa_jobs, common_edges):
     """Expansion of transported decorations, yielded as raw ``(signed
     integer coefficient, psi tuple, kappa item tuples)`` terms on ``A``:
@@ -434,22 +463,54 @@ def pair_contributions(x: DecoratedGraph, y: DecoratedGraph):
 
 
 def multiply(x: FormalSum, y: FormalSum) -> FormalSum:
-    """Product in the graded algebra of decorated graphs."""
+    """Product in the graded algebra of decorated graphs.
+
+    The contribution of a pair structure depends only on its value key
+    (see :func:`_value_tally`), so the structures of each carrier are
+    counted per key and the weighted counts summed over the term pairs.
+    Each key is then expanded once per call, the raw terms are summed per
+    carrier, and each distinct raw decoration with a nonzero coefficient
+    is canonicalized once, when it enters the result.  Within a carrier
+    the terms enter in the order in which they first occur.
+    """
     if (x.g, x.n) != (y.g, y.n):
         raise SpaceMismatch("factors live on different moduli spaces")
-    out = FormalSum(x.g, x.n)
+    # id(carrier) -> (carrier, {value key: [weighted count, jobs]}); holding
+    # the carrier keeps its id from being reused during the call
+    weights: dict[int, tuple] = {}
+    ys = []
+    for cH, dgH in y.terms.values():
+        RH, psiH, kappaH = dgH._interned
+        ys.append((cH, RH, _sparse(psiH, kappaH)))
     for cG, dgG in x.terms.values():
         RG, psiG, kappaG = dgG._interned
-        for cH, dgH in y.terms.values():
-            RH, psiH, kappaH = dgH._interned
+        decoG = _sparse(psiG, kappaG)
+        for cH, RH, decoH in ys:
             c = cG * cH
             for A, pairs in _generic_pairs_interned(RG, RH):
+                entry = weights.get(id(A))
+                if entry is None:
+                    entry = weights[id(A)] = (A, {})
+                keyed = entry[1]
                 weight = c / A.aut_order
-                for pair in pairs:
-                    for coeff, d in expand_pair_structure(
-                        A, pair, psiG, kappaG, psiH, kappaH
-                    ):
-                        out._add(weight * coeff, d)
+                for key, (count, jobs) in _value_tally(A, pairs, decoG, decoH).items():
+                    seen = keyed.get(key)
+                    if seen is None:
+                        keyed[key] = [weight * count, jobs]
+                    else:
+                        seen[0] += weight * count
+    out = FormalSum(x.g, x.n)
+    for A, keyed in weights.values():
+        raw: dict[tuple, Fraction] = {}
+        for (base_psi, _, common_edges), (weight, jobs) in keyed.items():
+            if weight:
+                for coeff, psi, kappa in _expand_transported(A, base_psi, jobs, common_edges):
+                    deco = (psi, kappa)
+                    raw[deco] = raw.get(deco, 0) + weight * coeff
+        keyed.clear()  # the keys are spent; free them before the result grows
+        for (psi, kappa), coeff in raw.items():
+            if coeff:
+                out._add(coeff, DecoratedGraph(A, psi, kappa))
     return out
 
 

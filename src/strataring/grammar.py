@@ -11,7 +11,8 @@ slot is declared by exactly one ``edge`` end or ``leg``.  A JSON object
 with the same field names is accepted wherever the text form is.
 
 Formal-sum files hold one ``<p/q> * <graph ...>`` term per line, with
-``#`` comments and blank lines ignored.
+``#`` comments and blank lines ignored.  Malformed input of either form,
+the graph data included, raises :class:`ParseError` and nothing else.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .algebra import DecoratedGraph, FormalSum
-from .graphs import StableGraph
+from .graphs import GraphError, StableGraph
 
 
 class ParseError(ValueError):
@@ -105,7 +106,7 @@ def parse_decorated(text: str, line_offset: int = 1) -> DecoratedGraph:
     """Parse the text (or JSON) form of a decorated graph."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return decorated_from_json(json.loads(text))
+        return _from_json(text, decorated_from_json)
     sc = _Scanner(text, line_offset)
     sc.expect("graph")
     sc.expect("g")
@@ -170,10 +171,7 @@ def parse_decorated(text: str, line_offset: int = 1) -> DecoratedGraph:
                 while True:
                     j = sc.expect_int()
                     sc.expect(":")
-                    f = sc.expect_int()
-                    if j < 1:
-                        raise sc.error("kappa index must be >= 1 (kappa_0 is a scalar)")
-                    entries.append((j, f))
+                    entries.append((j, sc.expect_int()))
                     if sc.peek() == ",":
                         sc.next()
                     else:
@@ -182,6 +180,8 @@ def parse_decorated(text: str, line_offset: int = 1) -> DecoratedGraph:
             kappa[v] = entries
         else:
             raise sc.error(f"unexpected token {tok!r}")
+    if sc.peek() is not None:
+        raise sc.error("unexpected text after the graph block")
     return _assemble(g_declared, n_declared, genera, edges, legs, psi, kappa)
 
 
@@ -212,12 +212,15 @@ def _assemble(g_declared, n_declared, genera, edges, legs, psi, kappa) -> Decora
     leg_list = []
     for label, slot in legs:
         leg_list.append((label, new_halfedge(slot)))
-    graph = StableGraph(
-        tuple(genera[v] for v in range(nv)),
-        tuple(vertex_of),
-        tuple(partner),
-        tuple(leg_list),
-    )
+    try:
+        graph = StableGraph(
+            tuple(genera[v] for v in range(nv)),
+            tuple(vertex_of),
+            tuple(partner),
+            tuple(leg_list),
+        )
+    except GraphError as exc:
+        raise ParseError(str(exc)) from None
     if graph.genus != g_declared:
         raise ParseError(f"declared g={g_declared} but the graph has genus {graph.genus}")
     if graph.n_legs != n_declared:
@@ -235,6 +238,10 @@ def _assemble(g_declared, n_declared, genera, edges, legs, psi, kappa) -> Decora
             raise ParseError(f"kappa on undeclared vertex v{v}")
         merged: dict[int, int] = {}
         for j, f in entries:
+            if j < 1:
+                raise ParseError("kappa index must be >= 1 (kappa_0 is a scalar)")
+            if f < 1:
+                raise ParseError("kappa exponents must be positive")
             merged[j] = merged.get(j, 0) + f
         kappa_arr[v] = tuple(sorted(merged.items()))
     return DecoratedGraph(graph, tuple(psi_arr), tuple(kappa_arr))
@@ -293,7 +300,7 @@ def parse_sum(text: str, g: int | None = None, n: int | None = None) -> FormalSu
     """Parse a formal-sum file body (text or JSON)."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return sum_from_json(json.loads(text))
+        return _from_json(text, sum_from_json)
     out: FormalSum | None = None
     if g is not None and n is not None:
         out = FormalSum(g, n)
@@ -308,10 +315,21 @@ def parse_sum(text: str, g: int | None = None, n: int | None = None) -> FormalSu
             coeff = Fraction(coeff_text.strip())
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad coefficient {coeff_text.strip()!r}", lineno, 1) from None
-        d = parse_decorated(graph_text, line_offset=lineno)
+        try:
+            d = parse_decorated(graph_text, line_offset=lineno)
+        except ParseError as exc:
+            if exc.line:
+                raise
+            raise ParseError(str(exc), lineno, 1) from None
         if out is None:
             out = FormalSum(d.graph.genus, d.graph.n_legs)
-        out = out + FormalSum.unit(d).scale(coeff)
+        elif (d.graph.genus, d.graph.n_legs) != (out.g, out.n):
+            raise ParseError(
+                f"term on g={d.graph.genus} n={d.graph.n_legs} in a sum on g={out.g} n={out.n}",
+                lineno,
+                1,
+            )
+        out._add(coeff, d)
     if out is None:
         raise ParseError("empty formal-sum file (space unknown)")
     return out
@@ -339,15 +357,24 @@ def decorated_to_json(d: DecoratedGraph) -> dict:
     }
 
 
+def _from_json(text: str, build):
+    """``build`` applied to the JSON in ``text``; bad JSON and malformed
+    data (a missing field, a value of the wrong type or shape) raise
+    :class:`ParseError`."""
+    try:
+        return build(json.loads(text))
+    except ParseError:
+        raise
+    except (ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
+        raise ParseError(f"malformed JSON: {exc}") from None
+
+
 def decorated_from_json(obj: dict) -> DecoratedGraph:
     genera = {v: rec["genus"] for v, rec in enumerate(obj["vertices"])}
     edges = [(tuple(a), tuple(b)) for a, b in obj.get("edges", [])]
     legs = [(label, tuple(slot)) for label, slot in obj.get("legs", [])]
     psi = {tuple(slot): e for slot, e in obj.get("psi", [])}
     kappa = {v: [tuple(p) for p in entries] for v, entries in obj.get("kappa", [])}
-    for entries in kappa.values():
-        if any(j < 1 for j, _ in entries):
-            raise ParseError("kappa index must be >= 1 (kappa_0 is a scalar)")
     return _assemble(obj["g"], obj["n"], genera, edges, legs, psi, kappa)
 
 
@@ -364,7 +391,5 @@ def sum_to_json(s: FormalSum) -> dict:
 def sum_from_json(obj: dict) -> FormalSum:
     out = FormalSum(obj["g"], obj["n"])
     for term in obj["terms"]:
-        out = out + FormalSum.unit(decorated_from_json(term["graph"])).scale(
-            Fraction(term["coeff"])
-        )
+        out._add(Fraction(term["coeff"]), decorated_from_json(term["graph"]))
     return out

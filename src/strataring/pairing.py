@@ -20,7 +20,7 @@ from .algebra import (
     _expand_transported,
     _generic_pairs_interned,
     _sparse,
-    _transport,
+    _value_tally,
     homogeneous_codim,
 )
 from .enumeration import decorated_basis, space_admits, top_degree
@@ -83,20 +83,12 @@ def _carrier_total(A, split, pairs, decoG, decoH, values) -> Fraction:
     """Sum over ``pairs`` of the integrated expansion of each structure on
     ``A``, without the ``1/|Aut A|`` weight.
 
-    The value key of a structure is its transported psi exponents, its
-    kappa jobs ``(fibre, j, f)`` in sorted order and its common edges;
+    The structures are counted per value key (:func:`_value_tally`);
     ``values`` maps the keys on ``A`` to their values and is filled on a
     miss.  ``split`` is ``hodge_split(A, kind)``.
     """
-    tally: dict[tuple, int] = {}
-    for pair in pairs:
-        base_psi, jobs = _transport(A, pair, decoG, decoH)
-        if len(jobs) > 1:
-            jobs = tuple(sorted(jobs))
-        key = (base_psi, jobs, pair.common_edges)
-        tally[key] = tally.get(key, 0) + 1
     total = Fraction(0)
-    for key, count in tally.items():
+    for key, (count, _) in _value_tally(A, pairs, decoG, decoH).items():
         value = values.get(key)
         if value is None:
             value = values[key] = _integrated_expansion(A, split, *key)
