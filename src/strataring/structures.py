@@ -15,6 +15,13 @@ edges between each pair of vertices, then every bijection of edges within
 each vertex pair.  The fibres of each carrier are computed once per
 number of contracted edges.
 
+A pair of structures of ``G`` and ``H`` on ``A`` is generic exactly when
+their contracted edge sets are disjoint, because each structure covers
+precisely the edges it does not contract.  Pair search therefore pairs
+the covered-edge masks of the contractions that pass the fibre matching
+before it builds any structure, and builds structures only for the
+contractions that take part in a generic pair.
+
 Structures are enumerated raw (no quotient by ``Aut(A)``); the action of
 ``Aut(A)`` on generic pair structures is free, a fact the multiplication
 routine relies on.
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations, product
+from operator import itemgetter
 
 from .graphs import StableGraph
 
@@ -62,15 +70,17 @@ def _check_compatible(G: StableGraph, A: StableGraph) -> None:
 
 
 def enumerate_g_structures(G: StableGraph, A: StableGraph) -> list[GStructure]:
-    """All raw structures of ``G`` on ``A``."""
-    _check_compatible(G, A)
-    return _g_structures(G, A)
-
-
-def _g_structures(G: StableGraph, A: StableGraph) -> list[GStructure]:
-    """Raw structures of ``G`` on ``A``, sorted by ``(A-edge index,
+    """All raw structures of ``G`` on ``A``, sorted by ``(A-edge index,
     orientation)`` per ``G``-edge; ``beta`` lists the legs, then the
-    ``G``-edges in order.
+    ``G``-edges in order."""
+    _check_compatible(G, A)
+    entry = (G, A, _fibre_pass(G, A))
+    return [s for s, _ in _in_order(entry, entry[2])]
+
+
+def _fibre_pass(G: StableGraph, A: StableGraph) -> dict[int, _Contraction]:
+    """The contractions of ``A`` that carry a structure of ``G``, keyed by
+    the mask of their covered edges.
 
     Each structure contracts a set ``S`` of ``eA - eG`` edges of ``A`` and
     covers the rest.  ``S`` is chosen first: its components, the fibres,
@@ -78,78 +88,120 @@ def _g_structures(G: StableGraph, A: StableGraph) -> list[GStructure]:
     counts of the ``G``-vertices.  Then the fibres are matched to
     ``G``-vertices, consistently with the legs and so that every pair of
     ``G``-vertices (a vertex with itself for loops) is joined by as many
-    covered edges as ``G``-edges.  Each match gives the product of the
-    edge bijections within the pairs: an edge between two vertices has one
-    orientation, a loop or an edge inside one fibre two.
+    covered edges as ``G``-edges.  :func:`_build` turns the matches of one
+    contraction into structures.
     """
     eG, eA = G.n_edges, A.n_edges
     if eG > eA or G.n_vertices > A.n_vertices:
-        return []
-    # leg part of beta is forced by labels and pins alpha at leg vertices
-    beta0: dict[int, int] = {}
-    req0: dict[int, int] = {}
+        return {}
+    # the leg labels pin alpha at the leg vertices
+    pins: dict[int, int] = {}
     for label, hG in G.legs:
-        hA = A.leg_of_label[label]
-        beta0[hG] = hA
-        u, x = G.vertex_of[hG], A.vertex_of[hA]
-        if req0.setdefault(x, u) != u:
-            return []
-    G_edges = G.edges
-    ends_G = [(G.vertex_of[h1], G.vertex_of[h2]) for h1, h2 in G_edges]
+        u, x = G.vertex_of[hG], A.vertex_of[A.leg_of_label[label]]
+        if pins.setdefault(x, u) != u:
+            return {}
+    ends_G = _edge_ends(G)
     sig_G = _vertex_signatures(G.genera, ends_G)
     records = _contractions(A, eA - eG).get(tuple(sorted(sig_G)))
     if not records:
-        return []
-
+        return {}
     pairs_G = sorted((u, w) if u <= w else (w, u) for u, w in ends_G)
-    one_edge_per_pair = len(set(pairs_G)) == eG
-    A_edges = A.edges
     class_G: dict[tuple, list[int]] = {}
     for u, sig in enumerate(sig_G):
         class_G.setdefault(sig, []).append(u)
-
-    found = []  # (codes, alpha, edge_halves); code = 2 * A-edge + flipped
-    for comp, sigs, covered, ends in records:
-        halves = None
-        for match in _fibre_matches(comp, sigs, req0.items(), sig_G, class_G):
+    out = {}
+    for record in records:
+        comp, sigs, covered, ends, mask = record
+        matches = [
+            match
+            for match in _fibre_matches(comp, sigs, pins.items(), sig_G, class_G)
             if sorted(
                 (match[a], match[b]) if match[a] <= match[b] else (match[b], match[a])
                 for a, b in ends
-            ) != pairs_G:
-                continue
-            # the covered A-edges each G-edge can go to, as codes
-            options = []
-            for u1, u2 in ends_G:
-                opts = []
-                for j, (a, b) in zip(covered, ends):
-                    v1, v2 = match[a], match[b]
-                    if v1 == u1 and v2 == u2:
-                        opts.append(2 * j)
-                        if u1 == u2:
-                            opts.append(2 * j + 1)
-                    elif v1 == u2 and v2 == u1:
+            ) == pairs_G
+        ]
+        if matches:
+            out[mask] = _Contraction(record, matches)
+    return out
+
+
+def _build(G: StableGraph, A: StableGraph, record, matches) -> tuple[list, list]:
+    """The structures of one contraction ``record`` of ``A`` with the given
+    fibre matches, sorted, with their sort keys.  A structure has one code
+    ``2 * A-edge + flipped`` per ``G``-edge; its key packs the codes into
+    one int, first code highest, so that keys order like code tuples.
+    Structures with equal codes come from one contraction and are ordered
+    by ``alpha``.
+
+    Each match gives the product of the edge bijections within the vertex
+    pairs: an edge between two vertices has one orientation, a loop or an
+    edge inside one fibre two.
+    """
+    comp, _, covered, ends, _ = record
+    G_edges, A_edges = G.edges, A.edges
+    eG = len(G_edges)
+    ends_G = _edge_ends(G)
+    one_edge_per_pair = len({(u, w) if u <= w else (w, u) for u, w in ends_G}) == eG
+    width = (2 * len(A_edges)).bit_length()
+    found = []
+    for match in matches:
+        # the covered A-edges each G-edge can go to, as codes
+        options = []
+        for u1, u2 in ends_G:
+            opts = []
+            for j, (a, b) in zip(covered, ends):
+                v1, v2 = match[a], match[b]
+                if v1 == u1 and v2 == u2:
+                    opts.append(2 * j)
+                    if u1 == u2:
                         opts.append(2 * j + 1)
-                options.append(opts)
-            if halves is None:
-                halves = frozenset(h for j in covered for h in A_edges[j])
-            alpha = tuple(match[c] for c in comp)
-            for codes in product(*options):
-                # G-edges joining one vertex pair share their options
-                if one_edge_per_pair or len({code >> 1 for code in codes}) == eG:
-                    found.append((codes, alpha, halves))
+                elif v1 == u2 and v2 == u1:
+                    opts.append(2 * j + 1)
+            options.append(opts)
+        alpha = tuple(match[c] for c in comp)
+        for codes in product(*options):
+            # G-edges joining one vertex pair share their options
+            if one_edge_per_pair or len({code >> 1 for code in codes}) == eG:
+                key = 0
+                for code in codes:
+                    key = key << width | code
+                found.append((key, alpha, codes))
     found.sort()
 
+    beta0 = {hG: A.leg_of_label[label] for label, hG in G.legs}
+    halves = frozenset(h for j in covered for h in A_edges[j])
     oriented = []
     for k1, k2 in A_edges:
         oriented.append((k1, k2))
         oriented.append((k2, k1))
     edge_halves_G = [h for edge in G_edges for h in edge]
-    out = []
-    for codes, alpha, halves in found:
+    structures = []
+    for _, alpha, codes in found:
         beta = dict(beta0)
         beta.update(zip(edge_halves_G, chain.from_iterable(map(oriented.__getitem__, codes))))
-        out.append(GStructure(alpha, beta, halves))
-    return out
+        structures.append(GStructure(alpha, beta, halves))
+    return [key for key, _, _ in found], structures
+
+
+class _Contraction:
+    """A contraction of ``A`` that carries structures of ``G``: its record
+    from :func:`_contractions` and its fibre matches until the structures
+    are built, then the structures and their sort keys."""
+
+    __slots__ = ("record", "matches", "keys", "structures")
+
+    def __init__(self, record: tuple, matches: list):
+        self.record, self.matches = record, matches
+        self.keys = self.structures = None
+
+    def build(self, G: StableGraph, A: StableGraph) -> None:
+        if self.structures is None:
+            self.keys, self.structures = _build(G, A, self.record, self.matches)
+            self.record = self.matches = None
+
+
+def _edge_ends(G: StableGraph) -> list[tuple[int, int]]:
+    return [(G.vertex_of[h1], G.vertex_of[h2]) for h1, h2 in G.edges]
 
 
 def _vertex_signatures(genera, ends) -> list[tuple[int, int, int]]:
@@ -206,8 +258,8 @@ def _contractions(A: StableGraph, d: int) -> dict[tuple, list[tuple]]:
     """Every way to contract ``d`` edges of ``A``, grouped by the sorted
     signatures of its fibres (see :func:`_vertex_signatures`).  Each is
     ``(fibre of each A-vertex, fibre signatures, covered A-edges, fibres at
-    the ends of each covered edge)``, in ``itertools.combinations`` order
-    of the contracted edges."""
+    the ends of each covered edge, mask of the covered A-edges)``, in
+    ``itertools.combinations`` order of the contracted edges."""
     key = (A.genera, A.vertex_of, A.partner, d)
     table = _contraction_cache.get(key)
     if table is not None:
@@ -245,7 +297,8 @@ def _contractions(A: StableGraph, d: int) -> dict[tuple, list[tuple]]:
         covered = tuple(j for j in range(eA) if j not in contracted)
         ends = tuple((comp[ends_A[j][0]], comp[ends_A[j][1]]) for j in covered)
         sigs = tuple(_vertex_signatures(fibre_genera, ends))
-        table.setdefault(tuple(sorted(sigs)), []).append((tuple(comp), sigs, covered, ends))
+        mask = sum(1 << j for j in covered)
+        table.setdefault(tuple(sorted(sigs)), []).append((tuple(comp), sigs, covered, ends, mask))
     _contraction_cache[key] = table
     return table
 
@@ -278,10 +331,11 @@ def enumerate_generic_pairs(
     max_interior_genus = min(
         max(G.genera, default=0), max(H.genera, default=0)
     )
+    min_vertices = max(G.n_vertices, H.n_vertices)
     out = []
     for e in range(max(G.n_edges, H.n_edges), G.n_edges + H.n_edges + 1):
         for A in stable_graphs(g, n, e, space):
-            if A.n_vertices < max(G.n_vertices, H.n_vertices):
+            if A.n_vertices < min_vertices:
                 continue
             if A.genera and max(A.genera) > max_interior_genus:
                 continue
@@ -292,52 +346,77 @@ def enumerate_generic_pairs(
 
 
 # keyed by object identity: callers pass interned representatives and the
-# memoized generator's instances, both of which live for the process
+# memoized generator's instances, both of which live for the process.
+# Each entry is (G, A, the result of _fibre_pass(G, A)).
 _structure_cache: dict[tuple[int, int], tuple] = {}
 
 
-def _g_structures_cached(G: StableGraph, A: StableGraph) -> list[GStructure]:
+def _on(G: StableGraph, A: StableGraph) -> tuple:
     key = (id(G), id(A))
     hit = _structure_cache.get(key)
     if hit is None:
-        hit = (G, A, _g_structures(G, A))
-        _structure_cache[key] = hit
-    return hit[2]
+        hit = _structure_cache[key] = (G, A, _fibre_pass(G, A))
+    return hit
+
+
+def _in_order(entry: tuple, masks) -> list[tuple]:
+    """``(structure, mask)`` for each structure of the contractions
+    ``masks`` of an entry ``(G, A, contractions by mask)``, in the order of
+    their sort keys.  The structures of a contraction are built on first
+    use."""
+    G, A, table = entry
+    runs = []
+    for m in masks:
+        c = table[m]
+        c.build(G, A)
+        runs.append((c, m))
+    if len(runs) == 1:
+        c, m = runs[0]
+        return [(s, m) for s in c.structures]
+    merged = sorted(
+        ((k, s, m) for c, m in runs for k, s in zip(c.keys, c.structures)),
+        key=itemgetter(0),
+    )
+    return [(s, m) for _, s, m in merged]
 
 
 def _pairs_on(G: StableGraph, H: StableGraph, A: StableGraph) -> list[PairStructure]:
     """Generic pair structures on ``A``, ordered by the structure of ``G``,
-    then by that of ``H``.  A pair is generic when the two images cover
-    every edge half: the test runs on int masks of half-edges, once per
-    distinct ``G``-image, and a pair's common edges are those inside both
-    images."""
-    SG = _g_structures_cached(G, A)
-    if not SG:
+    then by that of ``H``; a pair's common edges are those inside both
+    images.
+
+    A structure contracts a set ``S`` of edges of ``A`` and maps the
+    ``G``-edges bijectively onto the rest, so a pair covers every edge
+    exactly when ``S_G`` and ``S_H`` are disjoint: an edge outside both is
+    covered, one inside both is missed.  The test therefore runs on the
+    covered-edge masks of the contractions before any structure exists,
+    and only the contractions of ``G`` and of ``H`` that take part in a
+    generic pair have their structures built, once per ``(G, A, mask)``
+    and shared by every partner.
+    """
+    on_G = _on(G, A)
+    if not on_G[2]:
         return []
-    SH = SG if H is G else _g_structures_cached(H, A)
-    if not SH:
+    on_H = on_G if H is G else _on(H, A)
+    if not on_H[2]:
         return []
-    full = _mask(h for h in range(A.n_halfedges) if A.partner[h] != h)
-    edge_masks = [(e, (1 << e[0]) | (1 << e[1])) for e in A.edges]
-    masks_H = [_mask(t.edge_halves) for t in SH]
-    partners: dict[int, list] = {}  # G-image mask -> [(t, common edges)]
+    full = (1 << A.n_edges) - 1
+    partners = {}  # G-mask -> the H-masks it pairs with
+    for m in on_G[2]:
+        ns = [n for n in on_H[2] if m | n == full]
+        if ns:
+            partners[m] = ns
+    if not partners:
+        return []
+    edges = A.edges
+    found = {}  # G-mask -> [(t, common edges)], in the order of the H-structures
+    for m, ns in partners.items():
+        common = {
+            n: tuple(e for j, e in enumerate(edges) if (m & n) >> j & 1) for n in ns
+        }
+        found[m] = [(t, common[n]) for t, n in _in_order(on_H, ns)]
     pairs = []
-    for s in SG:
-        ms = _mask(s.edge_halves)
-        found = partners.get(ms)
-        if found is None:
-            found = partners[ms] = []
-            for t, mt in zip(SH, masks_H):
-                if ms | mt == full:
-                    shared = ms & mt
-                    found.append((t, tuple(e for e, m in edge_masks if shared & m == m)))
-        for t, common in found:
+    for s, m in _in_order(on_G, partners):
+        for t, common in found[m]:
             pairs.append(PairStructure(s, t, common))
     return pairs
-
-
-def _mask(halves) -> int:
-    out = 0
-    for h in halves:
-        out |= 1 << h
-    return out

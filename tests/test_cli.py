@@ -1,11 +1,25 @@
 from __future__ import annotations
 
+import io
+import json
+import os
 import re
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import strataring
 from strataring.cli import main
+from strataring.grammar import ParseError, parse_sum, sum_to_json, sum_to_text
+from test_grammar import _corrupted, _sums
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_multiply_integrate_pipeline(fixtures_dir, tmp_path, capsys):
@@ -141,3 +155,61 @@ def test_public_surface(capsys):
         "rank-table",
         "verify-relation",
     }
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_corrupted_sum_files_exit_2_with_an_error_line(data):
+    # the corruptions of tests/test_grammar.py, read from files by the CLI
+    s = data.draw(_sums())
+    assume(len(s) > 0)
+    text = data.draw(st.sampled_from([sum_to_text(s), json.dumps(sum_to_json(s))]))
+    bad = data.draw(_corrupted(text))
+    try:
+        parse_sum(bad)
+    except ParseError:
+        pass
+    else:
+        assume(False)  # the corruption left a valid sum
+    with tempfile.TemporaryDirectory() as tmp:
+        bad_path, good_path = Path(tmp) / "bad.sum", Path(tmp) / "good.sum"
+        bad_path.write_text(bad, encoding="utf-8")
+        good_path.write_text(sum_to_text(s), encoding="utf-8")
+        for argv in (
+            ["integrate", str(bad_path)],
+            ["multiply", str(bad_path), str(good_path)],
+            ["multiply", str(good_path), str(bad_path)],
+        ):
+            code, out, err = _run_main(argv)
+            assert code == 2, argv
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 * graph g=2 n=0 { v0: genus=2; ",
+        '{"g": 2, "n": 0, "terms": [{"coeff": "1", "graph": {"g": 2, "n": 0, "vertices": 7}}]}',
+    ],
+)
+@pytest.mark.parametrize("command", ["integrate", "multiply"])
+def test_corrupted_sum_file_in_a_process_prints_no_traceback(tmp_path, text, command):
+    bad = tmp_path / "bad.sum"
+    bad.write_text(text, encoding="utf-8")
+    argv = [str(bad)] if command == "integrate" else [str(bad), str(bad)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "strataring.cli", command, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strataring import structures
 from strataring.enumeration import stable_graphs
 from strataring.graphs import build_graph
 from strataring.structures import (
     GenusMismatch,
     GStructure,
     LabelMismatch,
+    PairStructure,
     _pairs_on,
     enumerate_g_structures,
     enumerate_generic_pairs,
@@ -230,6 +232,101 @@ def test_structures_match_the_edge_map_backtracking(g, n, space, max_edges):
             if A.n_edges >= G.n_edges:
                 got = enumerate_g_structures(G, A)
                 assert _as_data(got) == _as_data(_backtracking_structures(G, A)), (G, A)
+
+
+def _reference_pairs_on(G, H, A, structures_of):
+    """The pair search that builds every structure of ``G`` and of ``H`` on
+    ``A`` (``structures_of(G, A)``) and then tests which pairs cover every
+    edge half, once per distinct ``G``-image."""
+    SG = structures_of(G, A)
+    SH = structures_of(H, A)
+    full = _half_mask(h for h in range(A.n_halfedges) if A.partner[h] != h)
+    edge_masks = [(e, (1 << e[0]) | (1 << e[1])) for e in A.edges]
+    masks_H = [_half_mask(t.edge_halves) for t in SH]
+    partners = {}
+    pairs = []
+    for s in SG:
+        ms = _half_mask(s.edge_halves)
+        found = partners.get(ms)
+        if found is None:
+            found = partners[ms] = []
+            for t, mt in zip(SH, masks_H):
+                if ms | mt == full:
+                    shared = ms & mt
+                    found.append((t, tuple(e for e, m in edge_masks if shared & m == m)))
+        for t, common in found:
+            pairs.append(PairStructure(s, t, common))
+    return pairs
+
+
+def _half_mask(halves):
+    out = 0
+    for h in halves:
+        out |= 1 << h
+    return out
+
+
+@pytest.mark.parametrize(
+    "g,n,space,max_edges",
+    [
+        (0, 5, "mbar", 2),
+        (1, 3, "mbar", 3),
+        (2, 1, "mbar", 4),
+        (2, 2, "mbar", 3),
+        (3, 0, "mbar", 4),
+        (3, 1, "ct", 4),
+        (3, 1, "rt", 0),
+    ],
+)
+def test_pairs_match_the_search_over_every_structure(g, n, space, max_edges):
+    graphs = [G for e in range(max_edges + 1) for G in stable_graphs(g, n, e, space)]
+    carriers = {e: stable_graphs(g, n, e) for e in range(2 * max_edges + 1)}
+    memo, seen = {}, {}
+
+    def structures_of(G, A):
+        key = (id(G), id(A))
+        if key not in memo:
+            memo[key] = enumerate_g_structures(G, A)
+        return memo[key]
+
+    def data(pairs):
+        # structures are shared between pairs and kept alive by the caches,
+        # so each is converted once, by identity
+        for p in pairs:
+            for s in (p.left, p.right):
+                if id(s) not in seen:
+                    seen[id(s)] = _as_data([s])[0]
+        return [(seen[id(p.left)], seen[id(p.right)], p.common_edges) for p in pairs]
+
+    for G in graphs:
+        for H in graphs:
+            for e in range(max(G.n_edges, H.n_edges), G.n_edges + H.n_edges + 1):
+                for A in carriers[e]:
+                    want = _reference_pairs_on(G, H, A, structures_of)
+                    assert data(_pairs_on(G, H, A)) == data(want), (G, H, A)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_only_the_structures_of_generic_pairs_are_built(monkeypatch, flip):
+    # on M_3-bar: a search that builds every structure of both graphs on the
+    # carriers it tries builds 348 (160 the other way round); 44 of them lie
+    # in a generic pair
+    G = build_graph([1], edges=[(0, 0), (0, 0)])
+    H = build_graph([1, 1], edges=[(0, 1), (0, 1)])
+    if flip:
+        G, H = H, G
+    built = []
+
+    def counted(*args):
+        built.append(GStructure(*args))
+        return built[-1]
+
+    monkeypatch.setattr(structures, "GStructure", counted)
+    monkeypatch.setattr(structures, "_structure_cache", {})
+    out = enumerate_generic_pairs(G, H)
+    used = {id(s) for _, pairs in out for p in pairs for s in (p.left, p.right)}
+    assert sum(len(pairs) for _, pairs in out) == 128
+    assert len(built) == len(used) == 44
 
 
 @lru_cache(maxsize=None)
