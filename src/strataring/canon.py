@@ -11,6 +11,21 @@ number of vertex-level automorphisms (counted as the number of orderings
 achieving the minimal encoding) and ``E`` counts half-edge symmetries over
 the identity vertex map: loop flips, loop swaps and parallel-edge swaps
 that preserve psi exponents.
+
+A search builds its tables once: the vertex records, and for every
+ordered pair of adjacent vertices the bundle between them as seen from
+the first, with its ``repr``.  Refinement, the uniform-cell test and the
+encoding read those tables.
+
+Refinement numbers the color classes in the order of the ``repr`` of
+their signatures, and that order decides which orderings the search
+visits, hence the key; it is kept so that every key stays the same
+string.  Refinement stops at the first pass that splits no class, or
+that leaves every class a single vertex, and returns that pass's
+numbering.  Up to ten classes, the next pass would number them the same
+way (single-digit colors sort by ``repr`` as by value).  From eleven
+classes on, waiting for the numbering to repeat never ends, because
+``repr`` sorts color 10 between 1 and 2.
 """
 
 from __future__ import annotations
@@ -18,109 +33,88 @@ from __future__ import annotations
 from math import factorial
 
 
-def _vertex_tables(g, psi, kappa):
-    """Per-vertex records plus loop/bundle signatures."""
+def _tables(g, psi, kappa):
+    """Vertex records, the bundle from each vertex to each neighbour as a
+    dict per vertex, and per vertex its ``(neighbour, repr of bundle)``
+    items."""
     nv = g.n_vertices
-    psi = psi if psi is not None else (0,) * g.n_halfedges
-    kappa = kappa if kappa is not None else ((),) * nv
-    label_of = g.label_of_leg
+    vertex_of = g.vertex_of
     legs = [[] for _ in range(nv)]
     loops = [[] for _ in range(nv)]
-    bundles: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    bundle_edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    bundles = {}
     for label, h in g.legs:
-        legs[g.vertex_of[h]].append((label, psi[h]))
+        legs[vertex_of[h]].append((label, psi[h]))
     for h1, h2 in g.edges:
-        v, w = g.vertex_of[h1], g.vertex_of[h2]
+        v, w = vertex_of[h1], vertex_of[h2]
+        a, b = psi[h1], psi[h2]
         if v == w:
-            a, b = sorted((psi[h1], psi[h2]))
-            loops[v].append((a, b))
+            loops[v].append((a, b) if a <= b else (b, a))
+        elif v < w:
+            bundles.setdefault((v, w), []).append((a, b))
         else:
-            if v > w:
-                v, w, h1, h2 = w, v, h2, h1
-            bundles.setdefault((v, w), []).append((psi[h1], psi[h2]))
-            bundle_edges.setdefault((v, w), []).append((h1, h2))
+            bundles.setdefault((w, v), []).append((b, a))
+    degree = [0] * nv
+    for v in vertex_of:
+        degree[v] += 1
+    # legs come in label order, so each vertex's legs are sorted already
     records = tuple(
-        (
-            g.genera[v],
-            tuple(kappa[v]),
-            tuple(sorted(legs[v])),
-            tuple(sorted(loops[v])),
-            g.degree(v),
-        )
+        (g.genera[v], tuple(kappa[v]), tuple(legs[v]), tuple(sorted(loops[v])), degree[v])
         for v in range(nv)
     )
-    bundle_sig = {k: tuple(sorted(ps)) for k, ps in bundles.items()}
-    return records, bundle_sig, bundle_edges
+    bundle = [{} for _ in range(nv)]
+    adjacent = [[] for _ in range(nv)]
+    for (v, w), ps in bundles.items():
+        forward = tuple(sorted(ps))
+        backward = tuple(sorted([(b, a) for a, b in ps]))
+        bundle[v][w] = forward
+        bundle[w][v] = backward
+        adjacent[v].append((w, repr(forward)))
+        adjacent[w].append((v, repr(backward)))
+    return records, bundle, adjacent
 
 
-def _get_bundle(bundle_sig, u, w):
-    if u < w:
-        return bundle_sig.get((u, w), ())
-    flipped = bundle_sig.get((w, u), ())
-    return tuple(sorted((b, a) for a, b in flipped))
-
-
-def _refine(nv, colors, bundle_sig):
+def _refine(colors, adjacent):
     """Iterate neighborhood refinement to a stable coloring."""
-    neighbors: dict[int, list[int]] = {v: [] for v in range(nv)}
-    for (u, w) in bundle_sig:
-        neighbors[u].append(w)
-        neighbors[w].append(u)
+    classes = len(set(colors))
     while True:
-        sigs = []
-        for v in range(nv):
-            around = sorted(
-                (repr(_get_bundle(bundle_sig, v, w)), colors[w]) for w in neighbors[v]
-            )
-            sigs.append((colors[v], tuple(around)))
+        sigs = [
+            (colors[v], tuple(sorted([(r, colors[w]) for w, r in around])))
+            for v, around in enumerate(adjacent)
+        ]
         order = sorted(set(sigs), key=repr)
         index = {s: i for i, s in enumerate(order)}
-        new_colors = [index[s] for s in sigs]
-        if new_colors == colors:
+        colors = [index[s] for s in sigs]
+        if len(order) == classes or len(order) == len(colors):
             return colors
-        colors = new_colors
+        classes = len(order)
 
 
-def _uniform_independent(cell, nv, bundle_sig):
+def _uniform_independent(cell, bundle):
     """True when every ordering within the cell yields the same encoding:
     no edges inside the cell and identical bundles to every outside vertex."""
-    cset = set(cell)
-    for i, u in enumerate(cell):
-        for v in cell[i + 1 :]:
-            if _get_bundle(bundle_sig, u, v):
-                return False
-    u0 = cell[0]
-    for w in range(nv):
-        if w in cset:
-            continue
-        ref = _get_bundle(bundle_sig, u0, w)
-        for v in cell[1:]:
-            if _get_bundle(bundle_sig, v, w) != ref:
-                return False
-    return True
+    first = bundle[cell[0]]
+    if any(w in first for w in cell):
+        return False
+    return all(bundle[v] == first for v in cell[1:])
 
 
-def _encode(order, records, bundle_sig):
-    pos = order
-    nv = len(order)
-    parts = [records[v] for v in pos]
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            parts.append(_get_bundle(bundle_sig, pos[i], pos[j]))
+def _encode(order, records, bundle):
+    parts = [records[v] for v in order]
+    for i, v in enumerate(order):
+        row = bundle[v]
+        parts.extend([row.get(w, ()) for w in order[i + 1 :]])
     return tuple(parts)
 
 
-def _search(g, psi, kappa):
+def _search(records, bundle, adjacent):
     """Return ``(min_encoding, vertex_aut_count, best_order)``."""
-    nv = g.n_vertices
-    records, bundle_sig, _ = _vertex_tables(g, psi, kappa)
+    nv = len(records)
     if nv == 1:
-        return _encode((0,), records, bundle_sig), 1, (0,)
+        return _encode((0,), records, bundle), 1, (0,)
 
     init = sorted(set(records), key=repr)
     index = {r: i for i, r in enumerate(init)}
-    colors0 = _refine(nv, [index[records[v]] for v in range(nv)], bundle_sig)
+    colors0 = _refine([index[r] for r in records], adjacent)
 
     best: dict[str, object] = {"enc": None, "count": 0, "order": None}
 
@@ -135,98 +129,87 @@ def _search(g, psi, kappa):
         target = next((c for c in cells if len(c) > 1), None)
         if target is None:
             order = tuple(v for c in cells for v in c)
-            enc = _encode(order, records, bundle_sig)
+            enc = _encode(order, records, bundle)
             if best["enc"] is None or enc < best["enc"]:
                 best["enc"], best["count"], best["order"] = enc, factor, order
             elif enc == best["enc"]:
                 best["count"] += factor
             return
-        if _uniform_independent(target, nv, bundle_sig):
+        if _uniform_independent(target, bundle):
             new = list(colors)
             base = max(colors) + 1
             for k, v in enumerate(target[1:], start=1):
                 new[v] = base + k
-            recurse(_refine(nv, new, bundle_sig), factor * factorial(len(target)))
+            recurse(_refine(new, adjacent), factor * factorial(len(target)))
             return
         for v in target:
             new = [2 * c + 1 for c in colors]
             new[v] = 2 * colors[v]
-            recurse(_refine(nv, new, bundle_sig), factor)
+            recurse(_refine(new, adjacent), factor)
 
     recurse(colors0, 1)
     return best["enc"], best["count"], best["order"]
 
 
-def _extension_count(g, psi):
+def _extension_count(records, bundle):
     """Half-edge automorphisms over the identity vertex permutation."""
-    psi = psi if psi is not None else (0,) * g.n_halfedges
     count = 1
-    loops: dict[int, dict[tuple[int, int], int]] = {}
-    bundles: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for h1, h2 in g.edges:
-        v, w = g.vertex_of[h1], g.vertex_of[h2]
-        if v == w:
-            pair = tuple(sorted((psi[h1], psi[h2])))
-            loops.setdefault(v, {})
-            loops[v][pair] = loops[v].get(pair, 0) + 1
-        else:
-            if v > w:
-                v, w, h1, h2 = w, v, h2, h1
-            pair = (psi[h1], psi[h2])
-            bundles.setdefault((v, w), {})
-            bundles[(v, w)][pair] = bundles[(v, w)].get(pair, 0) + 1
-    for groups in loops.values():
-        for (a, b), k in groups.items():
-            count *= factorial(k) * (2**k if a == b else 1)
-    for groups in bundles.values():
-        for k in groups.values():
-            count *= factorial(k)
+    for record in records:
+        loops = record[3]
+        for pair in set(loops):
+            k = loops.count(pair)
+            count *= factorial(k) * (2**k if pair[0] == pair[1] else 1)
+    for v, row in enumerate(bundle):
+        for w, ps in row.items():
+            if v < w:
+                for pair in set(ps):
+                    count *= factorial(ps.count(pair))
     return count
 
 
-def canonical_data(g, psi=None, kappa=None) -> tuple[str, int]:
-    """Canonical key string and exact automorphism order."""
-    enc, aut_v, _ = _search(g, psi, kappa)
-    return repr((g.n_vertices, enc)), aut_v * _extension_count(g, psi)
+def canonical_data(g, psi=None, kappa=None) -> tuple[str, int, tuple[int, ...]]:
+    """Canonical key string, exact automorphism order, and a vertex order
+    that achieves the key (see :func:`ordering_maps`)."""
+    psi = psi if psi is not None else (0,) * g.n_halfedges
+    kappa = kappa if kappa is not None else ((),) * g.n_vertices
+    records, bundle, adjacent = _tables(g, psi, kappa)
+    enc, aut_v, order = _search(records, bundle, adjacent)
+    return repr((g.n_vertices, enc)), aut_v * _extension_count(records, bundle), order
 
 
-def ordering_maps(g, psi=None, kappa=None) -> tuple[dict[int, int], dict[int, int]]:
-    """A relabeling ``(halfedge_map, vertex_map)`` onto canonical positions.
+def ordering_maps(g, order) -> tuple[dict[int, int], dict[int, int]]:
+    """A relabeling ``(halfedge_map, vertex_map)`` of the bare graph ``g``
+    onto canonical positions, given the vertex ``order`` that
+    :func:`canonical_data` returns for it.
 
     Ties inside edge bundles are broken by original ids; any choice differs
     from another by an automorphism, which is all the callers need.
     """
-    _, _, order = _search(g, psi, kappa)
-    psi = psi if psi is not None else (0,) * g.n_halfedges
     vmap = {v: i for i, v in enumerate(order)}
     hmap: dict[int, int] = {}
     ctr = 0
-    legs_at: dict[int, list[tuple[int, int]]] = {}
-    for label, h in g.legs:
-        legs_at.setdefault(g.vertex_of[h], []).append((label, h))
+    legs_at: dict[int, list[int]] = {}
+    for _, h in g.legs:
+        legs_at.setdefault(g.vertex_of[h], []).append(h)
     loops_at: dict[int, list[tuple[int, int]]] = {}
     bundle_edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for h1, h2 in g.edges:
         v, w = g.vertex_of[h1], g.vertex_of[h2]
         if v == w:
-            if (psi[h1], h1) > (psi[h2], h2):
-                h1, h2 = h2, h1
             loops_at.setdefault(v, []).append((h1, h2))
         else:
             if vmap[v] > vmap[w]:
                 v, w, h1, h2 = w, v, h2, h1
             bundle_edges.setdefault((vmap[v], vmap[w]), []).append((h1, h2))
     for v in order:
-        for _, h in sorted(legs_at.get(v, [])):
+        for h in legs_at.get(v, ()):
             hmap[h] = ctr
             ctr += 1
-        for h1, h2 in sorted(
-            loops_at.get(v, []), key=lambda e: (psi[e[0]], psi[e[1]], e[0])
-        ):
+        for h1, h2 in loops_at.get(v, ()):
             hmap[h1], hmap[h2] = ctr, ctr + 1
             ctr += 2
     for (i, j) in sorted(bundle_edges):
-        for h1, h2 in sorted(bundle_edges[(i, j)], key=lambda e: (psi[e[0]], psi[e[1]], e[0])):
+        for h1, h2 in sorted(bundle_edges[(i, j)]):
             hmap[h1], hmap[h2] = ctr, ctr + 1
             ctr += 2
     return hmap, vmap

@@ -11,6 +11,11 @@ graph is again stable, and contracting an edge of a tree (with one
 positive-genus vertex) gives a tree (with one positive-genus vertex), so
 the sweep is exhaustive in each space.
 
+The sweep keeps what it learns on the way: which classes with ``e``
+edges refine each class with ``e - 1`` edges, as bit masks over the kept
+representatives.  ``common_refinements`` walks that relation up from two
+graphs to the carriers of their product.
+
 ``decorated_basis`` takes the graphs of its space from that sweep and
 decorates vertices with psi/kappa monomials below the
 boundary-expressibility bound
@@ -57,7 +62,16 @@ def stable_graphs(
 ) -> tuple[StableGraph, ...]:
     """All stable graphs of total genus ``g`` with legs ``1..n`` and the
     given edge count that ``space`` admits, one per isomorphism class,
-    sorted by canonical key."""
+    sorted by canonical key.
+
+    Each graph with ``e`` edges is met as a one-edge refinement of a graph
+    with ``e - 1`` edges, so the sweep also keeps, for each graph with
+    ``e - 1`` edges, the kept graphs that contract one edge onto it
+    (see :func:`common_refinements`).  It keeps no candidate it drops."""
+    return _level(g, n, edges, space).graphs
+
+
+def _level(g: int, n: int, edges: int, space: str) -> _Level:
     top_degree(space, g, n)  # rejects an unknown space and negative g, n
     if 2 * g - 2 + n <= 0:
         raise ValueError("unstable (g, n)")
@@ -68,19 +82,78 @@ def stable_graphs(
     return _stable_graphs(g, n, edges, space)
 
 
+class _Level:
+    """The graphs of one edge count, sorted by canonical key, and the
+    position of each by its key.  ``above[i]`` is the bit mask of the
+    positions of the graphs here that contract one edge onto graph ``i``
+    of the level below."""
+
+    __slots__ = ("graphs", "position", "above")
+
+    def __init__(self, graphs: tuple[StableGraph, ...], refined=()):
+        self.graphs = graphs
+        self.position = {G.canonical_key: i for i, G in enumerate(graphs)}
+        self.above = tuple(sum(1 << self.position[k] for k in keys) for keys in refined)
+
+
 # cached on the normalized arguments, so that every spelling of one request
 # returns the same objects (``structures`` caches by object identity)
 @lru_cache(maxsize=None)
-def _stable_graphs(g: int, n: int, edges: int, space: str) -> tuple[StableGraph, ...]:
+def _stable_graphs(g: int, n: int, edges: int, space: str) -> _Level:
     if edges == 0:
         G = build_graph([g], legs={i: 0 for i in range(1, n + 1)})
-        return (G,) if space_admits(G, space) else ()
-    found: dict[object, StableGraph] = {}
+        return _Level((G,) if space_admits(G, space) else ())
+    found: dict[str, StableGraph] = {}
+    refined = []  # per graph below, the keys of the kept graphs above it
     for X in stable_graphs(g, n, edges - 1, space):
+        keys = set()
         for Y in _one_edge_refinements(X):
             if space_admits(Y, space):
-                found.setdefault(Y.canonical_key, Y)
-    return tuple(found[k] for k in sorted(found))
+                # the kept graph's own key, so that no candidate stays alive
+                keys.add(found.setdefault(Y.canonical_key, Y).canonical_key)
+        refined.append(keys)
+    return _Level(tuple(found[k] for k in sorted(found)), refined)
+
+
+def common_refinements(G: StableGraph, H: StableGraph, space: str):
+    """The graphs of the sweep of ``space`` with at most ``e(G) + e(H)``
+    edges that contract onto both ``G`` and ``H``, in the order of
+    :func:`stable_graphs` by edge count.  ``space`` must admit both.
+
+    A graph ``A`` contracts onto ``G`` when ``G`` is ``A`` with some edges
+    contracted.  Such a contraction factors into single-edge contractions
+    through graphs of the space (every space is closed under contraction),
+    and the sweep meets a graph of every class that contracts one edge
+    onto a graph it keeps.  So the graphs above ``G`` are found by walking
+    the kept relation up from the class of ``G``, one edge count at a
+    time, and any presentation of ``G`` finds them."""
+    g, n = G.genus, G.n_legs
+    lo, top = max(G.n_edges, H.n_edges), G.n_edges + H.n_edges
+    levels = [stable_graphs(g, n, e, space) for e in range(lo, top + 1)]
+    masks = [_masks_above(F, space, lo, top) for F in (G, H)]
+    for graphs, m, k in zip(levels, *masks):
+        both = m & k
+        while both:
+            low = both & -both
+            yield graphs[low.bit_length() - 1]
+            both ^= low
+
+
+def _masks_above(F: StableGraph, space: str, lo: int, top: int) -> list[int]:
+    """Per edge count from ``lo >= e(F)`` to ``top``, the bit mask of the
+    positions of the graphs of the sweep that contract onto ``F``."""
+    g, n, e = F.genus, F.n_legs, F.n_edges
+    mask = 1 << _level(g, n, e, space).position[F.canonical_key]
+    out = [mask]
+    for above in (_level(g, n, d, space).above for d in range(e + 1, top + 1)):
+        up = 0
+        while mask:
+            low = mask & -mask
+            up |= above[low.bit_length() - 1]
+            mask ^= low
+        mask = up
+        out.append(mask)
+    return out[lo - e:]
 
 
 def _one_edge_refinements(X: StableGraph):
@@ -138,6 +211,12 @@ def _attachment_splits(legs, loops, bundles):
 
 
 def _apply_split(X: StableGraph, v: int, ga: int, gb: int, moved, split_loops):
+    # the new vertex gets the moved half-edges, one half of each split loop
+    # and one half of the new edge; the old vertex keeps the rest
+    deg_b = len(moved) + len(split_loops) + 1
+    deg_a = X.degree(v) - deg_b + 2
+    if 2 * ga - 2 + deg_a <= 0 or 2 * gb - 2 + deg_b <= 0:
+        return
     nh = X.n_halfedges
     new_v = X.n_vertices
     genera = list(X.genera) + [gb]
@@ -148,10 +227,6 @@ def _apply_split(X: StableGraph, v: int, ga: int, gb: int, moved, split_loops):
         vertex_of[h] = new_v
     for h1, h2 in split_loops:
         vertex_of[h2] = new_v  # loop becomes an edge across the split
-    deg_a = sum(1 for h, w in enumerate(vertex_of) if w == v)
-    deg_b = sum(1 for h, w in enumerate(vertex_of) if w == new_v)
-    if 2 * ga - 2 + deg_a <= 0 or 2 * gb - 2 + deg_b <= 0:
-        return
     yield StableGraph(tuple(genera), tuple(vertex_of), tuple(partner), X.legs, _checked=True)
 
 

@@ -83,10 +83,6 @@ class StableGraph:
         return {label: h for label, h in self.legs}
 
     @cached_property
-    def label_of_leg(self) -> dict[int, int]:
-        return {h: label for label, h in self.legs}
-
-    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as ordered pairs ``(h1, h2)`` with ``h1 < h2``."""
         return tuple(
@@ -275,8 +271,8 @@ def intern(g: StableGraph) -> tuple[StableGraph, dict[int, int], dict[int, int]]
     """Return ``(representative, halfedge_map, vertex_map)`` for ``g``."""
     from . import canon
 
-    key = g.canonical_key
-    hmap, vmap = canon.ordering_maps(g)
+    key, _, order = g._canon
+    hmap, vmap = canon.ordering_maps(g, order)
     rep = _registry.get(key)
     if rep is None:
         rep = g.relabeled(hmap, vmap)

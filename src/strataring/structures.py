@@ -20,7 +20,9 @@ their contracted edge sets are disjoint, because each structure covers
 precisely the edges it does not contract.  Pair search therefore pairs
 the covered-edge masks of the contractions that pass the fibre matching
 before it builds any structure, and builds structures only for the
-contractions that take part in a generic pair.
+contractions that take part in a generic pair.  The carriers tried are
+the graphs that contract onto both ``G`` and ``H``, read from the
+refinement relation that the graph sweep keeps.
 
 Structures are enumerated raw (no quotient by ``Aut(A)``); the action of
 ``Aut(A)`` on generic pair structures is free, a fact the multiplication
@@ -320,28 +322,31 @@ def enumerate_generic_pairs(
     cycle is left uncovered.  For two rt graphs: two positive-genus
     vertices of a tree carrier lie in the fibre of the one positive vertex
     on each side, so the path between them is left uncovered.
+
+    Within that space only the graphs above both ``G`` and ``H`` in the
+    one-edge refinement relation of the sweep are tried
+    (:func:`enumeration.common_refinements`), and they are all the
+    carriers with a structure of each.  A structure of ``G`` on ``A``
+    exists exactly when ``G`` is ``A`` with some edges contracted.  That
+    contraction factors into single-edge contractions through graphs of
+    the space, because the space is closed under contraction, and the
+    sweep meets a graph of every class ``Y`` with ``Y/e`` isomorphic to a
+    graph ``X`` it keeps, for some edge ``e``.  So ``A`` lies above ``G``
+    in the relation; conversely, every graph above ``G`` contracts onto
+    it.  The carriers, their order and their pairs are those of a scan
+    over every graph of the space in the edge range.
     """
     _check_compatible(G, H)
-    from .enumeration import space_admits, stable_graphs
+    from .enumeration import common_refinements, space_admits
 
-    g, n = G.genus, G.n_legs
     space = next(
         s for s in ("rt", "ct", "mbar") if space_admits(G, s) and space_admits(H, s)
     )
-    max_interior_genus = min(
-        max(G.genera, default=0), max(H.genera, default=0)
-    )
-    min_vertices = max(G.n_vertices, H.n_vertices)
     out = []
-    for e in range(max(G.n_edges, H.n_edges), G.n_edges + H.n_edges + 1):
-        for A in stable_graphs(g, n, e, space):
-            if A.n_vertices < min_vertices:
-                continue
-            if A.genera and max(A.genera) > max_interior_genus:
-                continue
-            pairs = _pairs_on(G, H, A)
-            if pairs:
-                out.append((A, pairs))
+    for A in common_refinements(G, H, space):
+        pairs = _pairs_on(G, H, A)
+        if pairs:
+            out.append((A, pairs))
     return out
 
 

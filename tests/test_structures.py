@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strataring import structures
-from strataring.enumeration import stable_graphs
+from strataring.enumeration import common_refinements, space_admits, stable_graphs
 from strataring.graphs import build_graph
 from strataring.structures import (
     GenusMismatch,
@@ -126,6 +126,79 @@ def test_narrowed_carriers_match_a_search_over_every_graph(g, n, space, max_edge
         for H in graphs[i:]:
             got = [(A.canonical_key, len(pairs)) for A, pairs in enumerate_generic_pairs(G, H)]
             assert got == _pairs_over_every_graph(G, H)
+
+
+def _narrowest_space(G, H):
+    return next(s for s in ("rt", "ct", "mbar") if space_admits(G, s) and space_admits(H, s))
+
+
+@pytest.mark.parametrize(
+    "g,n,max_edges", [(0, 6, 2), (1, 3, 3), (2, 1, 4), (3, 0, 4)]
+)
+def test_carriers_match_a_scan_over_every_graph_in_the_edge_range(g, n, max_edges):
+    # every ordered pair of M_g,n-bar, loops and genus 0 included: the
+    # carriers, their order, the pairs and their common edges are those of
+    # a scan that offers every graph of the pair's space to _pairs_on
+    graphs = [G for e in range(max_edges + 1) for G in stable_graphs(g, n, e)]
+    for G in graphs:
+        for H in graphs:
+            space = _narrowest_space(G, H)
+            want = []
+            for e in range(max(G.n_edges, H.n_edges), G.n_edges + H.n_edges + 1):
+                for A in stable_graphs(g, n, e, space):
+                    pairs = _pairs_on(G, H, A)
+                    if pairs:
+                        want.append((A, pairs))
+            got = enumerate_generic_pairs(G, H)
+            assert [A for A, _ in got] == [A for A, _ in want], (G, H)
+            for (A, pairs), (_, expected) in zip(got, want):
+                assert pairs == expected
+                assert [p.common_edges for p in pairs] == [p.common_edges for p in expected]
+
+
+@pytest.mark.parametrize("g,n,space", [(0, 5, "mbar"), (1, 3, "mbar"), (2, 1, "mbar"), (3, 1, "ct")])
+def test_common_refinements_are_the_graphs_both_sit_on(g, n, space):
+    # a graph of the sweep lies above G exactly when G has a structure on it
+    graphs = [G for e in range(3) for G in stable_graphs(g, n, e, space)]
+    for G in graphs:
+        for H in graphs:
+            got = list(common_refinements(G, H, space))
+            want = [
+                A
+                for e in range(max(G.n_edges, H.n_edges), G.n_edges + H.n_edges + 1)
+                for A in stable_graphs(g, n, e, space)
+                if enumerate_g_structures(G, A) and enumerate_g_structures(H, A)
+            ]
+            assert got == want, (G, H)
+            # any presentation of G and H finds the same carriers
+            G2 = G.relabeled(*_reversal(G))
+            assert list(common_refinements(G2, H, space)) == want
+
+
+def _reversal(G):
+    return (
+        {h: G.n_halfedges - 1 - h for h in range(G.n_halfedges)},
+        {v: G.n_vertices - 1 - v for v in range(G.n_vertices)},
+    )
+
+
+def test_only_carriers_above_both_graphs_are_tried(monkeypatch):
+    # on M_3-bar, the genus-1 vertex with two loops against the genus-1
+    # double edge: 5 graphs with 2 to 4 edges lie above both, 3 of them
+    # carry a generic pair; a scan of every graph in that range tries 23
+    G = build_graph([1], edges=[(0, 0), (0, 0)])
+    H = build_graph([1, 1], edges=[(0, 1), (0, 1)])
+    calls = []
+    real = structures._pairs_on
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(structures, "_pairs_on", counted)
+    out = enumerate_generic_pairs(G, H)
+    assert len(out) == 3 and sum(len(pairs) for _, pairs in out) == 128
+    assert len(calls) == 5
 
 
 def _backtracking_structures(G, A):
