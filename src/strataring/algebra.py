@@ -17,17 +17,19 @@ class conventionally written with a ``1/|Aut|`` in front is produced by
 :func:`sigma`.
 
 That expansion depends only on the value key of a structure (the carrier,
-the transported decorations and the common edges), so :func:`multiply`
-expands each value key once per call and takes the canonical form of
-each distinct raw decoration on a carrier once, not of every expansion
-term.
+the transported decorations and the common edges).  One pipeline,
+:func:`_product_terms`, counts the structures per key over all term
+pairs, expands each key once and sums the raw decorations per carrier.
+Its two consumers differ only in the last step: :func:`multiply` takes
+the canonical form of each distinct raw decoration once, and
+``pairing.integrate_product`` integrates it once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
 
 from . import canon
 from .graphs import GraphError, StableGraph, intern
@@ -58,9 +60,21 @@ class LabelCollision(ValueError):
     pass
 
 
+def _monomial(items) -> tuple:
+    """A kappa monomial as sorted ``(index, power)`` pairs, one per index:
+    the powers of a repeated index are added."""
+    powers: dict[int, int] = {}
+    for j, f in items:
+        if j < 1 or f < 1:
+            raise ValueError("kappa indices and exponents must be positive")
+        powers[j] = powers.get(j, 0) + f
+    return tuple(sorted(powers.items()))
+
+
 class DecoratedGraph:
     """A stable graph with psi exponents per half-edge and kappa exponents
-    per vertex (stored as sorted ``(index, power)`` pairs, indices >= 1)."""
+    per vertex (stored as sorted ``(index, power)`` pairs, indices >= 1,
+    one pair per index)."""
 
     __slots__ = ("graph", "psi", "kappa", "__dict__")
 
@@ -69,14 +83,11 @@ class DecoratedGraph:
         self.psi = tuple(psi) if psi is not None else (0,) * graph.n_halfedges
         if kappa is None:
             kappa = ((),) * graph.n_vertices
-        self.kappa = tuple(tuple(sorted(k)) for k in kappa)
+        self.kappa = tuple(_monomial(k) for k in kappa)
         if len(self.psi) != graph.n_halfedges or len(self.kappa) != graph.n_vertices:
             raise ValueError("decoration shape does not match the graph")
         if any(e < 0 for e in self.psi):
             raise ValueError("psi exponents must be nonnegative")
-        for k in self.kappa:
-            if any(j < 1 or f < 1 for j, f in k):
-                raise ValueError("kappa indices and exponents must be positive")
 
     def vertex_codim(self, v: int) -> int:
         c = sum(j * f for j, f in self.kappa[v])
@@ -99,16 +110,17 @@ class DecoratedGraph:
 
     @cached_property
     def _interned(self):
-        """``(representative, psi, kappa)``: the decoration moved onto the
-        interned representative of the graph (see :func:`graphs.intern`)."""
+        """``(representative, (psi items, kappa items))``: the decoration
+        moved onto the interned representative of the graph (see
+        :func:`graphs.intern`), as ``(half-edge, exponent)`` items of its
+        nonzero psi exponents and ``(vertex, j, f)`` items of its kappa
+        monomials, in half-edge and vertex order."""
         rep, hmap, vmap = intern(self.graph)
-        psi = [0] * len(self.psi)
-        for h, e in enumerate(self.psi):
-            psi[hmap[h]] = e
-        kappa = [()] * self.graph.n_vertices
-        for v, k in enumerate(self.kappa):
-            kappa[vmap[v]] = k
-        return rep, tuple(psi), tuple(kappa)
+        psi = sorted((hmap[h], e) for h, e in enumerate(self.psi) if e)
+        kappa = sorted(
+            (vmap[v], j, f) for v, monomial in enumerate(self.kappa) for j, f in monomial
+        )
+        return rep, (tuple(psi), tuple(kappa))
 
     @property
     def aut_order(self) -> int:
@@ -309,22 +321,13 @@ def _multinomial(total: int, counts) -> int:
     return out
 
 
-def _sparse(psi, kappa):
-    """A decoration as ``(half-edge, exponent)`` items of its nonzero psi
-    exponents and ``(vertex, j, f)`` items of its kappa monomials, in
-    half-edge and vertex order."""
-    return (
-        tuple((h, e) for h, e in enumerate(psi) if e),
-        tuple((u, j, f) for u, monomial in enumerate(kappa) for j, f in monomial),
-    )
-
-
 def _transport(A: StableGraph, pair: PairStructure, decoG, decoH):
     """The decorations of ``G`` and ``H`` transported onto ``A`` through one
-    pair structure, given as :func:`_sparse` items: the psi exponent of
-    every ``A``-half-edge, and one ``(fibre, j, f)`` kappa job per kappa_j^f
-    of a ``G``- or ``H``-vertex, whose fibre is the tuple of ``A``-vertices
-    over it (left jobs first, each side in vertex order)."""
+    pair structure, given as the sparse items of
+    :attr:`DecoratedGraph._interned`: the psi exponent of every
+    ``A``-half-edge, and one ``(fibre, j, f)`` kappa job per kappa_j^f of a
+    ``G``- or ``H``-vertex, whose fibre is the tuple of ``A``-vertices over
+    it (left jobs first, each side in vertex order)."""
     base_psi = [0] * A.n_halfedges
     jobs = []
     for structure, (psi_items, kappa_items) in ((pair.left, decoG), (pair.right, decoH)):
@@ -338,34 +341,13 @@ def _transport(A: StableGraph, pair: PairStructure, decoG, decoH):
     return tuple(base_psi), tuple(jobs)
 
 
-def _value_tally(A: StableGraph, pairs, decoG, decoH) -> dict[tuple, list]:
-    """The structures in ``pairs`` counted per value key on ``A``, as
-    ``{key: [count, jobs]}`` in the order in which the keys first occur.
-
-    The value key of a structure is its transported psi exponents, its
-    kappa jobs ``(fibre, j, f)`` in sorted order and its common edges (see
-    :func:`_transport`); its contribution depends on nothing else.
-    ``jobs`` are the kappa jobs of the first structure with the key, in
-    transported order, so that :func:`_expand_transported` lists the raw
-    terms in the order of that structure's own expansion.
-    """
-    tally: dict[tuple, list] = {}
-    for pair in pairs:
-        base_psi, jobs = _transport(A, pair, decoG, decoH)
-        key = (base_psi, tuple(sorted(jobs)) if len(jobs) > 1 else jobs, pair.common_edges)
-        entry = tally.get(key)
-        if entry is None:
-            tally[key] = [1, jobs]
-        else:
-            entry[0] += 1
-    return tally
-
-
-def _expand_transported(A: StableGraph, base_psi, kappa_jobs, common_edges):
-    """Expansion of transported decorations, yielded as raw ``(signed
-    integer coefficient, psi tuple, kappa item tuples)`` terms on ``A``:
-    each kappa job is spread multinomially over its fibre, and each common
-    edge contributes ``(-psi' - psi'')``."""
+def _expand_structure_raw(A: StableGraph, base_psi, kappa_jobs, common_edges):
+    """Expansion of the contribution of a structure with these transported
+    decorations (see :func:`_transport`) and common edges, as raw ``(signed
+    integer coefficient, psi tuple, kappa item tuples)`` terms on ``A``,
+    without the ``1/|Aut A|`` weight: each kappa job is spread
+    multinomially over its fibre, and each common edge contributes
+    ``(-psi' - psi'')``."""
     job_expansions = []
     for fiber, j, f in kappa_jobs:
         opts = []
@@ -412,105 +394,101 @@ def _expand_transported(A: StableGraph, base_psi, kappa_jobs, common_edges):
     return out
 
 
-def _expand_structure_raw(
-    A: StableGraph,
-    pair: PairStructure,
-    psiG,
-    kappaG,
-    psiH,
-    kappaH,
-):
-    """Expansion of one structure's contribution, yielded as raw
-    ``(signed integer coefficient, psi tuple, kappa item tuples)`` terms on
-    ``A`` (without the ``1/|Aut A|`` weight)."""
-    base_psi, kappa_jobs = _transport(
-        A, pair, _sparse(psiG, kappaG), _sparse(psiH, kappaH)
-    )
-    return _expand_transported(A, base_psi, kappa_jobs, pair.common_edges)
-
-
-def expand_pair_structure(
-    A: StableGraph,
-    pair: PairStructure,
-    psiG,
-    kappaG,
-    psiH,
-    kappaH,
-):
-    """Expansion of one structure's contribution as ``(coeff, DecoratedGraph)``
-    terms on ``A`` (without the ``1/|Aut A|`` weight)."""
-    return [
-        (Fraction(coeff), DecoratedGraph(A, psi, kappa))
-        for coeff, psi, kappa in _expand_structure_raw(
-            A, pair, psiG, kappaG, psiH, kappaH
-        )
-    ]
-
-
 def pair_contributions(x: DecoratedGraph, y: DecoratedGraph):
     """Per-structure expansions of a product of two decorated graphs.
 
     Yields ``(carrier, structure, terms)`` triples where ``terms`` is the
-    expansion of that one structure's contribution, without the
-    ``1/|Aut(carrier)|`` weight; summing the weighted terms over all
-    structures reproduces ``multiply``.
+    expansion of that one structure's contribution as ``(coeff,
+    DecoratedGraph)`` terms, without the ``1/|Aut(carrier)|`` weight;
+    summing the weighted terms over all structures reproduces ``multiply``.
     """
-    RG, psiG, kappaG = x._interned
-    RH, psiH, kappaH = y._interned
+    RG, decoG = x._interned
+    RH, decoH = y._interned
     for A, pairs in _generic_pairs_interned(RG, RH):
         for pair in pairs:
-            yield A, pair, expand_pair_structure(A, pair, psiG, kappaG, psiH, kappaH)
+            base_psi, jobs = _transport(A, pair, decoG, decoH)
+            terms = _expand_structure_raw(A, base_psi, jobs, pair.common_edges)
+            yield A, pair, [
+                (Fraction(coeff), DecoratedGraph(A, psi, kappa)) for coeff, psi, kappa in terms
+            ]
+
+
+def _product_terms(term_pairs):
+    """The raw terms of a product, carrier by carrier.
+
+    ``term_pairs`` yields ``(coeff, x, y)``: a ``Fraction`` and two
+    decorated graphs.  The contribution of a pair structure depends only
+    on its value key: its transported psi exponents, its kappa jobs
+    ``(fibre, j, f)`` in sorted order and its common edges (see
+    :func:`_transport`).  So the structures of each carrier ``A`` are
+    counted per key, the counts weighted by ``coeff / |Aut A|`` are summed
+    over the term pairs, and each key with a nonzero weight is expanded
+    once, with the kappa jobs of the first structure that has it, so that
+    the raw terms come in the order of that structure's own expansion.
+
+    Yields ``(A, {(psi, kappa): coeff})`` per carrier, in the order in
+    which the carriers first occur: the raw decorations on ``A`` with a
+    nonzero coefficient, in the order in which they first occur.
+    """
+    # id(carrier) -> (carrier, {value key: [weight, jobs]}); holding the
+    # carrier keeps its id from being reused during the call
+    carriers: dict[int, tuple] = {}
+    for c, x, y in term_pairs:
+        RG, decoG = x._interned
+        RH, decoH = y._interned
+        for A, pairs in _generic_pairs_interned(RG, RH):
+            entry = carriers.get(id(A))
+            if entry is None:
+                entry = carriers[id(A)] = (A, {})
+            keyed = entry[1]
+            tally: dict[tuple, list] = {}  # value key -> [count, jobs]
+            for pair in pairs:
+                base_psi, jobs = _transport(A, pair, decoG, decoH)
+                key = (base_psi, tuple(sorted(jobs)) if len(jobs) > 1 else jobs, pair.common_edges)
+                seen = tally.get(key)
+                if seen is None:
+                    tally[key] = [1, jobs]
+                else:
+                    seen[0] += 1
+            weight = c / A.aut_order
+            for key, (count, jobs) in tally.items():
+                seen = keyed.get(key)
+                if seen is None:
+                    keyed[key] = [weight * count, jobs]
+                else:
+                    seen[0] += weight * count
+    for A, keyed in carriers.values():
+        # the raw terms are summed as integer multiples of one denominator
+        # per carrier, so that a raw term costs no Fraction arithmetic
+        denominator = lcm(*(weight.denominator for weight, _ in keyed.values()))
+        raw: dict[tuple, int] = {}
+        for (base_psi, _, common_edges), (weight, jobs) in keyed.items():
+            scale = weight.numerator * (denominator // weight.denominator)
+            if scale:
+                for coeff, psi, kappa in _expand_structure_raw(A, base_psi, jobs, common_edges):
+                    deco = (psi, kappa)
+                    raw[deco] = raw.get(deco, 0) + scale * coeff
+        keyed.clear()  # the keys are spent; free them before the consumer runs
+        yield A, {deco: Fraction(n, denominator) for deco, n in raw.items() if n}
 
 
 def multiply(x: FormalSum, y: FormalSum) -> FormalSum:
     """Product in the graded algebra of decorated graphs.
 
-    The contribution of a pair structure depends only on its value key
-    (see :func:`_value_tally`), so the structures of each carrier are
-    counted per key and the weighted counts summed over the term pairs.
-    Each key is then expanded once per call, the raw terms are summed per
-    carrier, and each distinct raw decoration with a nonzero coefficient
-    is canonicalized once, when it enters the result.  Within a carrier
-    the terms enter in the order in which they first occur.
+    The raw terms of every carrier come from :func:`_product_terms`; each
+    distinct raw decoration is canonicalized once, when it enters the
+    result.  Within a carrier the terms enter in the order in which they
+    first occur.
     """
     if (x.g, x.n) != (y.g, y.n):
         raise SpaceMismatch("factors live on different moduli spaces")
-    # id(carrier) -> (carrier, {value key: [weighted count, jobs]}); holding
-    # the carrier keeps its id from being reused during the call
-    weights: dict[int, tuple] = {}
-    ys = []
-    for cH, dgH in y.terms.values():
-        RH, psiH, kappaH = dgH._interned
-        ys.append((cH, RH, _sparse(psiH, kappaH)))
-    for cG, dgG in x.terms.values():
-        RG, psiG, kappaG = dgG._interned
-        decoG = _sparse(psiG, kappaG)
-        for cH, RH, decoH in ys:
-            c = cG * cH
-            for A, pairs in _generic_pairs_interned(RG, RH):
-                entry = weights.get(id(A))
-                if entry is None:
-                    entry = weights[id(A)] = (A, {})
-                keyed = entry[1]
-                weight = c / A.aut_order
-                for key, (count, jobs) in _value_tally(A, pairs, decoG, decoH).items():
-                    seen = keyed.get(key)
-                    if seen is None:
-                        keyed[key] = [weight * count, jobs]
-                    else:
-                        seen[0] += weight * count
     out = FormalSum(x.g, x.n)
-    for A, keyed in weights.values():
-        raw: dict[tuple, Fraction] = {}
-        for (base_psi, _, common_edges), (weight, jobs) in keyed.items():
-            if weight:
-                for coeff, psi, kappa in _expand_transported(A, base_psi, jobs, common_edges):
-                    deco = (psi, kappa)
-                    raw[deco] = raw.get(deco, 0) + weight * coeff
-        keyed.clear()  # the keys are spent; free them before the result grows
+    term_pairs = (
+        (cG * cH, dG, dH) for cG, dG in x.terms.values() for cH, dH in y.terms.values()
+    )
+    for A, raw in _product_terms(term_pairs):
         for (psi, kappa), coeff in raw.items():
-            if coeff:
-                out._add(coeff, DecoratedGraph(A, psi, kappa))
+            out._add(coeff, DecoratedGraph(A, psi, kappa))
     return out
 
 

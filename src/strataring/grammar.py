@@ -236,14 +236,12 @@ def _assemble(g_declared, n_declared, genera, edges, legs, psi, kappa) -> Decora
     for v, entries in kappa.items():
         if not (0 <= v < nv):
             raise ParseError(f"kappa on undeclared vertex v{v}")
-        merged: dict[int, int] = {}
         for j, f in entries:
             if j < 1:
                 raise ParseError("kappa index must be >= 1 (kappa_0 is a scalar)")
             if f < 1:
                 raise ParseError("kappa exponents must be positive")
-            merged[j] = merged.get(j, 0) + f
-        kappa_arr[v] = tuple(sorted(merged.items()))
+        kappa_arr[v] = entries
     return DecoratedGraph(graph, tuple(psi_arr), tuple(kappa_arr))
 
 

@@ -16,109 +16,54 @@ from math import gcd
 
 from .algebra import (
     DecoratedGraph,
+    DegreeMismatch,
     FormalSum,
-    _expand_transported,
-    _generic_pairs_interned,
-    _sparse,
-    _value_tally,
+    SpaceMismatch,
+    _product_terms,
     homogeneous_codim,
 )
 from .enumeration import decorated_basis, space_admits, top_degree
-from .integrals import EvaluationKind, evaluation_kind, hodge_split, kappa_reduce
-
-
-def kind_for_space(space: str) -> EvaluationKind:
-    """The evaluation class of the socle pairing on ``space``."""
-    return evaluation_kind(space)
+from .integrals import evaluation_kind, hodge_split, kappa_reduce
 
 
 def integrate_product(x: FormalSum, y: FormalSum, kind) -> Fraction:
     """Integral of the product of two sums, fused for speed.
 
     Equivalent to ``integrate_sum(multiply(x, y), kind)`` but skips the
-    canonical merging of product terms.  The integrated expansion of a
-    pair structure depends only on its value key: the carrier, the
-    decorations transported onto it and the common edges (see
-    :func:`_carrier_total`).  Each key is expanded and integrated once per
-    call, in a memo that lives only for the call.  A term pair whose
-    graphs the space of ``kind`` does not admit is skipped before any
-    carrier is built: ct and rt graphs are closed under contraction, so
-    none of its carriers is admitted either.
+    canonical merging of product terms: the raw terms of each carrier
+    come from the pipeline of ``multiply`` (``algebra._product_terms``),
+    and each distinct raw decoration is integrated once, vertex by
+    vertex.  Only the term pairs of complementary codimension whose
+    graphs the space of ``kind`` admits are fed to it: ct and rt graphs
+    are closed under contraction, so no carrier of another graph is
+    admitted.  The carriers of two admitted graphs lie in the narrowest
+    space that holds both, so the space admits every one of them and
+    ``hodge_split`` splits the class over its vertices.
     """
     kind = evaluation_kind(kind)
     space = kind.space
     top = top_degree(space, x.g, x.n)
-    # id(carrier) -> (carrier, split, {value key: value}); holding the
-    # carrier keeps its id from being reused during the call
-    memo: dict[int, tuple] = {}
+    xs = [(c, d) for c, d in x.terms.values() if space_admits(d.graph, space)]
+    ys = [(c, d) for c, d in y.terms.values() if space_admits(d.graph, space)]
+    term_pairs = (
+        (cG * cH, dG, dH) for cG, dG in xs for cH, dH in ys if dG.codim + dH.codim == top
+    )
     total = Fraction(0)
-    ys = []
-    for cH, dgH in y.terms.values():
-        RH, psiH, kappaH = dgH._interned
-        if space_admits(RH, space):
-            ys.append((cH, dgH.codim, RH, _sparse(psiH, kappaH)))
-    for cG, dgG in x.terms.values():
-        RG, psiG, kappaG = dgG._interned
-        if not space_admits(RG, space):
-            continue
-        decoG = _sparse(psiG, kappaG)
-        for cH, codimH, RH, decoH in ys:
-            if dgG.codim + codimH != top:
-                continue
-            c = cG * cH
-            for A, pairs in _generic_pairs_interned(RG, RH):
-                entry = memo.get(id(A))
-                if entry is None:
-                    entry = memo[id(A)] = (A, hodge_split(A, kind), {})
-                _, split, values = entry
-                if split is None:
-                    continue
-                value = _carrier_total(A, split, pairs, decoG, decoH, values)
-                if value:
-                    total += c * value / A.aut_order
-    return total
-
-
-def _carrier_total(A, split, pairs, decoG, decoH, values) -> Fraction:
-    """Sum over ``pairs`` of the integrated expansion of each structure on
-    ``A``, without the ``1/|Aut A|`` weight.
-
-    The structures are counted per value key (:func:`_value_tally`);
-    ``values`` maps the keys on ``A`` to their values and is filled on a
-    miss.  ``split`` is ``hodge_split(A, kind)``.
-    """
-    total = Fraction(0)
-    for key, (count, _) in _value_tally(A, pairs, decoG, decoH).items():
-        value = values.get(key)
-        if value is None:
-            value = values[key] = _integrated_expansion(A, split, *key)
-        if value:
-            total += value * count
-    return total
-
-
-def _integrated_expansion(A, split, base_psi, kappa_jobs, common_edges) -> Fraction:
-    """Integral of the expansion of transported decorations on ``A``: the
-    product of the vertex integrals of each term, summed."""
-    halfedges_at = A.halfedges_at
-    total = Fraction(0)
-    for coeff, psi, kappa in _expand_transported(A, base_psi, kappa_jobs, common_edges):
-        value = coeff
-        for v, (gv, vkind, vtop) in enumerate(split):
-            psis = tuple(psi[h] for h in halfedges_at[v])
-            kap = tuple(j for j, f in kappa[v] for _ in range(f))
-            if sum(psis) + sum(kap) != vtop:
-                value = 0
-                break
-            factor = kappa_reduce(gv, psis, kap, vkind)
-            if factor == 0:
-                value = 0
-                break
-            # the Fraction on the left: ``int * Fraction`` goes through the
-            # slow ``numbers.Rational`` check
-            value = factor * value
-        if value:
-            total += value
+    for A, raw in _product_terms(term_pairs):
+        split = hodge_split(A, kind)
+        halfedges_at = A.halfedges_at
+        for (psi, kappa), value in raw.items():
+            for v, (gv, vkind, vtop) in enumerate(split):
+                psis = tuple(psi[h] for h in halfedges_at[v])
+                kap = tuple(j for j, f in kappa[v] for _ in range(f))
+                if sum(psis) + sum(kap) != vtop:
+                    break
+                factor = kappa_reduce(gv, psis, kap, vkind)
+                if factor == 0:
+                    break
+                value *= factor
+            else:
+                total += value
     return total
 
 
@@ -138,9 +83,7 @@ class GramMatrix:
 
 
 def pairing_value(a: DecoratedGraph, b: DecoratedGraph, space: str) -> Fraction:
-    return integrate_product(
-        FormalSum.unit(a), FormalSum.unit(b), kind_for_space(space)
-    )
+    return integrate_product(FormalSum.unit(a), FormalSum.unit(b), space)
 
 
 # a Gram fill with more pairings than this warns before it starts; the
@@ -263,8 +206,12 @@ def null_space(entries) -> list[list[Fraction]]:
 
 def rank_table(g: int, n: int, space: str) -> list[int]:
     """Pairing rank in every codimension ``0..top``; symmetric halves are
-    computed once (the two Gram matrices are transposes)."""
+    computed once (the two Gram matrices are transposes).  An unstable
+    ``(g, n)`` raises ``ValueError``, and so does a rational-tails space of
+    genus below 2 (through :func:`decorated_basis`)."""
     top = top_degree(space, g, n)
+    if 2 * g - 2 + n <= 0:
+        raise ValueError("unstable (g, n)")
     ranks = [0] * (top + 1)
     for k in range(top // 2 + 1):
         r = rank(gram(g, n, k, space))
@@ -293,20 +240,15 @@ def verify_relation(r: FormalSum, g: int, n: int, space: str) -> RelationReport:
     """Pair a homogeneous candidate relation against the complementary
     spanning set; it passes iff every pairing is exactly zero."""
     if (r.g, r.n) != (g, n):
-        from .algebra import SpaceMismatch
-
         raise SpaceMismatch("relation lives on a different moduli space")
     top = top_degree(space, g, n)
     if len(r) == 0:
         return RelationReport(g, n, space, 0, [])
     k = homogeneous_codim(r)
     if not (0 <= k <= top):
-        from .algebra import DegreeMismatch
-
         raise DegreeMismatch(f"codimension {k} outside 0..{top}")
-    kind = kind_for_space(space)
-    pairings = []
-    for b in decorated_basis(g, n, top - k, space):
-        value = integrate_product(r, FormalSum.unit(b), kind)
-        pairings.append((b, value))
+    pairings = [
+        (b, integrate_product(r, FormalSum.unit(b), space))
+        for b in decorated_basis(g, n, top - k, space)
+    ]
     return RelationReport(g, n, space, k, pairings)

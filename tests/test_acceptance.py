@@ -34,11 +34,11 @@ from strataring.integrals import (
     cache_clear,
     cache_load,
     cache_snapshot,
+    evaluation_kind,
     integrate_sum,
 )
 from strataring.pairing import (
     gram,
-    kind_for_space,
     matrix_rank,
     null_space,
     rank,
@@ -136,7 +136,7 @@ def seven_by_ten():
     basis_keys = {d.canonical_key for d in decorated_basis(3, 1, 2, "ct")}
     for d in classes:
         assert d.canonical_key in basis_keys
-    kind = kind_for_space("ct")
+    kind = evaluation_kind("ct")
     entries = [
         [
             13824 * integrate_sum(multiply(FormalSum.unit(r), FormalSum.unit(c)), kind)
@@ -215,7 +215,7 @@ def test_criterion_2_relations_verify(fixtures_dir):
     for i in (1, 2, 3):
         rel = load_sum(str(fixtures_dir / f"m31_relation_{i}.sum"))
         classes = _matrix_classes()
-        kind = kind_for_space("ct")
+        kind = evaluation_kind("ct")
         values = [
             integrate_sum(multiply(rel, FormalSum.unit(r)), kind) for r in classes[:7]
         ]
@@ -307,7 +307,7 @@ def test_criterion_7_quick_gate(fixtures_dir):
     basis4 = decorated_basis(5, 0, 4, "ct")
     rng = random.Random(20260809)
     picks = rng.sample(range(len(basis4)), 5)
-    kind = kind_for_space("ct")
+    kind = evaluation_kind("ct")
     for i in picks:
         value = integrate_sum(multiply(rel, FormalSum.unit(basis4[i])), kind)
         assert value == 0, (i, value)
@@ -429,7 +429,7 @@ def test_criterion_8_cold_vs_warm_cache(tmp_path, seven_by_ten):
     cache_clear()
     try:
         cache_load(str(path))
-        kind = kind_for_space("ct")
+        kind = evaluation_kind("ct")
         warm = [
             [
                 13824

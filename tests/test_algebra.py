@@ -54,6 +54,21 @@ def test_kappa_and_psi_operators():
         kappa_apply(0, 0, d)  # kappa_0 is a scalar, not a decoration
 
 
+def test_a_repeated_kappa_index_is_one_power():
+    # kappa_1 * kappa_1 on one vertex is kappa_1^2, however it is written
+    G = build_graph([1, 1], [(0, 1)], {1: 0})
+    psi = (0,) * G.n_halfedges
+    a = DecoratedGraph(G, psi, [((1, 1), (1, 1)), ()])
+    b = DecoratedGraph(G, psi, [((1, 2),), ()])
+    assert a.kappa == b.kappa == (((1, 2),), ())
+    assert a == b and a.codim == b.codim == 3
+    assert len(FormalSum(2, 1, [(1, a), (-1, b)])) == 0
+    mixed = DecoratedGraph(G, psi, [((2, 1), (1, 1), (2, 2)), ((1, 1),)])
+    assert mixed.kappa == (((1, 1), (2, 3)), ((1, 1),))
+    with pytest.raises(ValueError):
+        DecoratedGraph(G, psi, [((1, 1), (1, 0)), ()])
+
+
 def test_kappa_pullback():
     single = FormalSum.unit(dec([2]))
     out = kappa_pullback(1, single)

@@ -141,6 +141,21 @@ def test_negative_genus_or_leg_count_is_rejected(argv, capsys):
     assert out == "" and err.startswith("error: negative genus or leg count")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-g", "0", "-n", "2"], "unstable (g, n)"),
+        (["-g", "1", "-n", "0", "--space", "rt"], "unstable (g, n)"),
+        (["-g", "0", "-n", "1", "--space", "ct"], "unstable (g, n)"),
+        (["-g", "1", "-n", "2", "--space", "rt"], "rational-tails spaces need genus >= 2"),
+    ],
+)
+def test_rank_table_rejects_spaces_without_a_pairing(argv, message, capsys):
+    assert main(["rank-table", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_public_surface(capsys):
     for name in strataring.__all__:
         assert hasattr(strataring, name), name

@@ -9,21 +9,21 @@ from strataring.algebra import (
     FormalSum,
     _expand_structure_raw,
     _generic_pairs_interned,
-    _sparse,
     _transport,
     multiply,
 )
 from strataring.enumeration import decorated_basis, top_degree
 from strataring.grammar import load_sum
-from strataring.integrals import hodge_split, integrate_graph, integrate_sum
-from strataring.pairing import _carrier_total, integrate_product, kind_for_space
+from strataring.integrals import evaluation_kind, hodge_split, integrate_graph, integrate_sum
+from strataring.pairing import integrate_product
 from conftest import dec
+from test_multiply import _transported_keys
 
 
 def test_fused_product_integration_matches_multiply_then_integrate():
     rng = random.Random(41)
     for g, n, space in [(2, 0, "mbar"), (2, 1, "mbar"), (3, 1, "ct"), (2, 2, "rt")]:
-        kind = kind_for_space(space)
+        kind = evaluation_kind(space)
         top = top_degree(space, g, n)
         for _ in range(8):
             k = rng.randint(0, top)
@@ -55,7 +55,7 @@ def test_mbar_graphs_paired_under_ct_and_rt_match_multiply_then_integrate():
     nonzero = 0
     for g, n in [(2, 0), (2, 1), (1, 3), (2, 2)]:
         for space in ("ct", "rt"):
-            kind = kind_for_space(space)
+            kind = evaluation_kind(space)
             top = top_degree(space, g, n)
             for _ in range(6):
                 k = rng.randint(0, top)
@@ -70,12 +70,11 @@ def test_mbar_graphs_paired_under_ct_and_rt_match_multiply_then_integrate():
 def _unmemoized_value(A, pair, x, y, kind) -> Fraction:
     """One structure's contribution expanded on its own and integrated term
     by term, as ``integrate_sum`` would."""
-    _, psiG, kappaG = x._interned
-    _, psiH, kappaH = y._interned
+    base_psi, jobs = _transport(A, pair, x._interned[1], y._interned[1])
     return sum(
         (
             coeff * integrate_graph(DecoratedGraph(A, psi, kappa), kind)
-            for coeff, psi, kappa in _expand_structure_raw(A, pair, psiG, kappaG, psiH, kappaH)
+            for coeff, psi, kappa in _expand_structure_raw(A, base_psi, jobs, pair.common_edges)
         ),
         Fraction(0),
     )
@@ -89,7 +88,7 @@ def _term_pairs(g, n, space):
                 yield x, y
 
 
-def test_keyed_values_match_the_unmemoized_expansion():
+def test_keyed_values_match_the_unmemoized_expansion(monkeypatch):
     # kappa_1 on one vertex of a two-vertex graph: its fibre differs
     # between structures with the same transported psi
     kappa_on_one_side = [
@@ -109,30 +108,77 @@ def test_keyed_values_match_the_unmemoized_expansion():
         for g, n, space in [(2, 1, "mbar"), (2, 2, "ct")]
         for x, y in _term_pairs(g, n, space)
     ]
-    memo = {}  # (id(carrier), kind) -> (carrier, {value key: value}), as in a call
-    checked = multi_vertex_fibres = 0
+    structures = []  # (x, y, kind, carrier, pair)
+    multi_vertex_fibres = 0
     keys_by_psi: dict[tuple, set] = {}  # (carrier, psi, kappa) -> common edges
     for x, y, space in cases:
-        kind = kind_for_space(space)
-        RG, psiG, kappaG = x._interned
-        RH, psiH, kappaH = y._interned
-        decoG, decoH = _sparse(psiG, kappaG), _sparse(psiH, kappaH)
+        kind = evaluation_kind(space)
+        RG, decoG = x._interned
+        RH, decoH = y._interned
+        total = Fraction(0)
         for A, pairs in _generic_pairs_interned(RG, RH):
-            split = hodge_split(A, kind)
-            if split is None:
-                continue
-            values = memo.setdefault((id(A), kind), (A, {}))[1]
+            # every carrier of two graphs of a space lies in that space
+            assert hodge_split(A, kind) is not None
             for pair in pairs:
-                keyed = _carrier_total(A, split, [pair], decoG, decoH, values)
-                assert keyed == _unmemoized_value(A, pair, x, y, kind)
-                checked += 1
+                structures.append((x, y, kind, A, pair))
+                total += _unmemoized_value(A, pair, x, y, kind) / A.aut_order
                 psi, jobs = _transport(A, pair, decoG, decoH)
                 multi_vertex_fibres += any(len(fibre) > 1 for fibre, _, _ in jobs)
                 keys_by_psi.setdefault((id(A), psi, tuple(sorted(jobs))), set()).add(
                     pair.common_edges
                 )
-    assert checked > 1000 and multi_vertex_fibres > 0
+        # all structures at once: counted per value key, not one by one
+        assert integrate_product(FormalSum.unit(x), FormalSum.unit(y), kind) == total
+    fed = []
+    monkeypatch.setattr(algebra, "_generic_pairs_interned", lambda RG, RH: fed)
+    for x, y, kind, A, pair in structures:
+        fed[:] = [(A, [pair])]
+        value = integrate_product(FormalSum.unit(x), FormalSum.unit(y), kind)
+        assert value * A.aut_order == _unmemoized_value(A, pair, x, y, kind)
+    assert len(structures) > 1000 and multi_vertex_fibres > 0
     assert any(len(common) > 1 for common in keys_by_psi.values())
+
+
+def _cancelled_keys(x: FormalSum, y: FormalSum) -> int:
+    """Value keys met in several term pairs whose weights sum to zero."""
+    weights: dict[tuple, Fraction] = {}
+    for cG, dG in x.terms.values():
+        for cH, dH in y.terms.values():
+            for A, psi, jobs, common in _transported_keys(FormalSum.unit(dG), FormalSum.unit(dH)):
+                key = (id(A), psi, tuple(sorted(jobs)), common)
+                weights[key] = weights.get(key, 0) + cG * cH / A.aut_order
+    return sum(1 for w in weights.values() if w == 0)
+
+
+def test_fused_products_of_sums_match_multiply_then_integrate(fixtures_dir):
+    relation = load_sum(str(fixtures_dir / "m21_relation.sum"))
+    rng = random.Random(12)
+    cases = []
+    for space in ("mbar", "ct", "rt"):
+        classes = decorated_basis(2, 1, top_degree(space, 2, 1) - 1, space)
+        for _ in range(3):
+            picked = rng.sample(classes, min(4, len(classes)))
+            y = FormalSum(2, 1, [(rng.choice((-3, -2, -1, 1, 2, 3)), d) for d in picked])
+            cases.append((relation, y, space))
+    # sums whose value keys cancel across term pairs: a.c and b.c share a
+    # key with weights 8 and 1, which a - 8b cancels (test_multiply.py);
+    # against a itself, which is complementary on mbar, the weights are 64
+    # and 4
+    basis2 = decorated_basis(2, 1, 2, "mbar")
+    a, b = FormalSum.unit(basis2[0]), FormalSum.unit(basis2[2])
+    ct2, ct1 = (decorated_basis(2, 2, k, "ct") for k in (2, 1))
+    cancelling = [
+        (a - b.scale(16), a, "mbar"),
+        (FormalSum(2, 2, [(1, ct2[4]), (-1, ct2[5])]), FormalSum.unit(ct1[4]), "ct"),
+    ]
+    for x, y, _ in cancelling:
+        assert _cancelled_keys(x, y) > 0
+    nonzero = 0
+    for x, y, space in cases + cancelling:
+        value = integrate_product(x, y, space)
+        assert value == integrate_sum(multiply(x, y), space)
+        nonzero += value != 0
+    assert nonzero > len(cancelling)
 
 
 def test_genus_four_relation_against_two_sampled_classes(fixtures_dir):

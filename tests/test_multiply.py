@@ -6,7 +6,6 @@ import strataring.canon as canon
 from strataring.algebra import (
     FormalSum,
     _generic_pairs_interned,
-    _sparse,
     _transport,
     multiply,
     pair_contributions,
@@ -31,12 +30,12 @@ def _per_structure_product(x: FormalSum, y: FormalSum) -> FormalSum:
 def _transported_keys(x: FormalSum, y: FormalSum):
     """``(carrier, psi, kappa jobs, common edges)`` of every structure."""
     for _, dG in x.terms.values():
-        RG, psiG, kappaG = dG._interned
+        RG, decoG = dG._interned
         for _, dH in y.terms.values():
-            RH, psiH, kappaH = dH._interned
+            RH, decoH = dH._interned
             for A, pairs in _generic_pairs_interned(RG, RH):
                 for pair in pairs:
-                    psi, jobs = _transport(A, pair, _sparse(psiG, kappaG), _sparse(psiH, kappaH))
+                    psi, jobs = _transport(A, pair, decoG, decoH)
                     yield A, psi, jobs, pair.common_edges
 
 

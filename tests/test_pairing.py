@@ -8,11 +8,10 @@ import pytest
 
 from strataring.algebra import FormalSum, multiply
 from strataring.enumeration import decorated_basis, top_degree
-from strataring.integrals import integrate_sum
+from strataring.integrals import evaluation_kind, integrate_sum
 from strataring.pairing import (
     gram,
     kernel_basis,
-    kind_for_space,
     matrix_rank,
     null_space,
     rank,
@@ -125,7 +124,7 @@ def test_pairing_values_match_direct_integration():
         j = rng.randrange(len(m.cols))
         direct = integrate_sum(
             multiply(FormalSum.unit(m.rows[i]), FormalSum.unit(m.cols[j])),
-            kind_for_space(space),
+            evaluation_kind(space),
         )
         assert m.entries[i][j] == direct
 
