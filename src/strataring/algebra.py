@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import factorial, lcm
 
 from . import canon
@@ -343,54 +344,40 @@ def _transport(A: StableGraph, pair: PairStructure, decoG, decoH):
 
 def _expand_structure_raw(A: StableGraph, base_psi, kappa_jobs, common_edges):
     """Expansion of the contribution of a structure with these transported
-    decorations (see :func:`_transport`) and common edges, as raw ``(signed
-    integer coefficient, psi tuple, kappa item tuples)`` terms on ``A``,
-    without the ``1/|Aut A|`` weight: each kappa job is spread
-    multinomially over its fibre, and each common edge contributes
-    ``(-psi' - psi'')``."""
-    job_expansions = []
-    for fiber, j, f in kappa_jobs:
-        opts = []
-        for counts in _compositions(f, len(fiber)):
-            coeff = _multinomial(f, counts)
-            placement = tuple(
-                (x, j, c) for x, c in zip(fiber, counts) if c
-            )
-            opts.append((coeff, placement))
-        job_expansions.append(opts)
+    decorations (see :func:`_transport`) and common edges, as a list of raw
+    ``(signed integer coefficient, psi tuple, kappa item tuples)`` terms on
+    ``A``, without the ``1/|Aut A|`` weight.
 
-    excess_options = [((e[0],), (e[1],)) for e in common_edges]
+    The expansion is a product over independent choices.  Each kappa job
+    ``(fibre, j, f)`` spreads kappa_j^f over its fibre in every weak
+    composition of ``f``, with its multinomial coefficient; each common
+    edge ``(h, h')`` contributes ``(-psi_h - psi_h')``.  The terms come in
+    the order of ``itertools.product``: over the spreads (first job
+    outermost), then over the psi bumps (first common edge outermost).
+    The kappa tuple of a spread choice is built once, for all its bumps.
+    """
+    spreads = [
+        [
+            (_multinomial(f, counts), [(x, j, c) for x, c in zip(fiber, counts) if c])
+            for counts in _compositions(f, len(fiber))
+        ]
+        for fiber, j, f in kappa_jobs
+    ]
     sign = (-1) ** len(common_edges)
-
     out = []
-
-    def rec_jobs(i: int, coeff: int, placements):
-        if i == len(job_expansions):
-            rec_excess(0, coeff, placements, ())
-            return
-        for c, placement in job_expansions[i]:
-            rec_jobs(i + 1, coeff * c, placements + placement)
-
-    def rec_excess(i: int, coeff: int, placements, bumps):
-        if i == len(excess_options):
+    for choice in product(*spreads):
+        coeff = sign
+        kappa = [{} for _ in range(A.n_vertices)]
+        for c, placement in choice:
+            coeff *= c
+            for x, j, p in placement:
+                kappa[x][j] = kappa[x].get(j, 0) + p
+        kappa = tuple(tuple(sorted(k.items())) for k in kappa)
+        for bumps in product(*common_edges):
             psi = list(base_psi)
             for h in bumps:
                 psi[h] += 1
-            kappa_acc = [dict() for _ in range(A.n_vertices)]
-            for x, j, c in placements:
-                kappa_acc[x][j] = kappa_acc[x].get(j, 0) + c
-            out.append(
-                (
-                    sign * coeff,
-                    tuple(psi),
-                    tuple(tuple(sorted(k.items())) for k in kappa_acc),
-                )
-            )
-            return
-        for choice in excess_options[i]:
-            rec_excess(i + 1, coeff, placements, bumps + choice)
-
-    rec_jobs(0, 1, ())
+            out.append((coeff, tuple(psi), kappa))
     return out
 
 

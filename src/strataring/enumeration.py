@@ -34,9 +34,12 @@ SPACES = ("mbar", "ct", "rt")
 
 
 def top_degree(space: str, g: int, n: int) -> int:
-    """Degree of the socle for each flavor of moduli space."""
+    """Degree of the socle for each flavor of moduli space.  A negative
+    or unstable ``(g, n)`` raises ``ValueError``."""
     if g < 0 or n < 0:
         raise ValueError(f"negative genus or leg count (g={g}, n={n})")
+    if 2 * g - 2 + n <= 0:
+        raise ValueError("unstable (g, n)")
     if space == "mbar":
         return 3 * g - 3 + n
     if space == "ct":
@@ -62,7 +65,8 @@ def stable_graphs(
 ) -> tuple[StableGraph, ...]:
     """All stable graphs of total genus ``g`` with legs ``1..n`` and the
     given edge count that ``space`` admits, one per isomorphism class,
-    sorted by canonical key.
+    sorted by canonical key; ``()`` above ``3g - 3 + n`` edges, the most
+    a stable graph has.
 
     Each graph with ``e`` edges is met as a one-edge refinement of a graph
     with ``e - 1`` edges, so the sweep also keeps, for each graph with
@@ -72,11 +76,11 @@ def stable_graphs(
 
 
 def _level(g: int, n: int, edges: int, space: str) -> _Level:
-    top_degree(space, g, n)  # rejects an unknown space and negative g, n
-    if 2 * g - 2 + n <= 0:
-        raise ValueError("unstable (g, n)")
+    top_degree(space, g, n)  # rejects an unknown space and a negative or unstable (g, n)
     if edges < 0:
         raise ValueError("negative edge count")
+    if edges > 3 * g - 3 + n:
+        return _Level(())  # no stable graph has more edges: nothing to sweep
     if g == 0 and space == "ct":
         space = "mbar"  # every genus-0 graph is a tree: share one sweep
     return _stable_graphs(g, n, edges, space)
@@ -117,8 +121,9 @@ def _stable_graphs(g: int, n: int, edges: int, space: str) -> _Level:
 
 def common_refinements(G: StableGraph, H: StableGraph, space: str):
     """The graphs of the sweep of ``space`` with at most ``e(G) + e(H)``
-    edges that contract onto both ``G`` and ``H``, in the order of
-    :func:`stable_graphs` by edge count.  ``space`` must admit both.
+    edges (and at most ``3g - 3 + n``) that contract onto both ``G`` and
+    ``H``, in the order of :func:`stable_graphs` by edge count.  ``space``
+    must admit both.
 
     A graph ``A`` contracts onto ``G`` when ``G`` is ``A`` with some edges
     contracted.  Such a contraction factors into single-edge contractions
@@ -128,7 +133,7 @@ def common_refinements(G: StableGraph, H: StableGraph, space: str):
     the kept relation up from the class of ``G``, one edge count at a
     time, and any presentation of ``G`` finds them."""
     g, n = G.genus, G.n_legs
-    lo, top = max(G.n_edges, H.n_edges), G.n_edges + H.n_edges
+    lo, top = max(G.n_edges, H.n_edges), min(G.n_edges + H.n_edges, 3 * g - 3 + n)
     levels = [stable_graphs(g, n, e, space) for e in range(lo, top + 1)]
     masks = [_masks_above(F, space, lo, top) for F in (G, H)]
     for graphs, m, k in zip(levels, *masks):

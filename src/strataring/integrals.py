@@ -21,8 +21,10 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 from .algebra import DecoratedGraph, FormalSum, _multinomial
@@ -235,8 +237,7 @@ def _wk_recurse(g: int, d: tuple[int, ...]) -> Fraction:
         b = k - 2 - a
         w = double_factorial(2 * a + 1) * double_factorial(2 * b + 1)
         half += w * wk_tau(g - 1, rest + (a, b))
-        for sub, mult in _submultisets(rest):
-            comp = _multiset_difference(rest, sub)
+        for sub, comp, mult in _submultisets(rest):
             for g1 in range(g + 1):
                 left = wk_tau(g1, sub + (a,))
                 if left:
@@ -246,29 +247,19 @@ def _wk_recurse(g: int, d: tuple[int, ...]) -> Fraction:
 
 
 def _submultisets(values: tuple[int, ...]):
-    """Sub-multisets with the number of point-subsets realizing each."""
-    distinct: dict[int, int] = {}
-    for v in values:
-        distinct[v] = distinct.get(v, 0) + 1
-    items = sorted(distinct.items())
-
-    def rec(i: int):
-        if i == len(items):
-            yield (), 1
-            return
-        v, m = items[i]
-        for rest, mult in rec(i + 1):
-            for take in range(m + 1):
-                yield (v,) * take + rest, mult * comb(m, take)
-
-    yield from rec(0)
-
-
-def _multiset_difference(values: tuple[int, ...], sub: tuple[int, ...]):
-    out = list(values)
-    for v in sub:
-        out.remove(v)
-    return tuple(out)
+    """Every sub-multiset of ``values`` as ``(sub, complement,
+    multiplicity)``: a product over the distinct values of how many copies
+    to take, where taking ``t`` of the ``m`` copies of a value is realized
+    by ``comb(m, t)`` subsets of the points.  ``sub`` and ``complement``
+    list their values in increasing order."""
+    counts = sorted(Counter(values).items())
+    for takes in product(*(range(m + 1) for _, m in counts)):
+        sub, complement, multiplicity = [], [], 1
+        for (v, m), t in zip(counts, takes):
+            sub += [v] * t
+            complement += [v] * (m - t)
+            multiplicity *= comb(m, t)
+        yield tuple(sub), tuple(complement), multiplicity
 
 
 # -- Hodge evaluations ----------------------------------------------------
@@ -351,13 +342,9 @@ def kappa_reduce(g: int, psi_exponents, kappa_indices, kind=FUNDAMENTAL) -> Frac
         b1 = kap[0]
         rest = kap[1:]
         total = ZERO
-        for sub, mult in _submultisets(rest):
+        for sub, comp, mult in _submultisets(rest):
             new_point = b1 + 1 + sum(sub)
-            total += (
-                (-1) ** len(sub)
-                * mult
-                * kappa_reduce(g, psi + (new_point,), _multiset_difference(rest, sub), kind)
-            )
+            total += (-1) ** len(sub) * mult * kappa_reduce(g, psi + (new_point,), comp, kind)
     _kappa_cache[key] = total
     return total
 

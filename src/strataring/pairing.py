@@ -38,8 +38,11 @@ def integrate_product(x: FormalSum, y: FormalSum, kind) -> Fraction:
     are closed under contraction, so no carrier of another graph is
     admitted.  The carriers of two admitted graphs lie in the narrowest
     space that holds both, so the space admits every one of them and
-    ``hodge_split`` splits the class over its vertices.
+    ``hodge_split`` splits the class over its vertices.  Sums on
+    different ``(g, n)`` raise ``SpaceMismatch``, as in ``multiply``.
     """
+    if (x.g, x.n) != (y.g, y.n):
+        raise SpaceMismatch("factors live on different moduli spaces")
     kind = evaluation_kind(kind)
     space = kind.space
     top = top_degree(space, x.g, x.n)
@@ -207,11 +210,10 @@ def null_space(entries) -> list[list[Fraction]]:
 def rank_table(g: int, n: int, space: str) -> list[int]:
     """Pairing rank in every codimension ``0..top``; symmetric halves are
     computed once (the two Gram matrices are transposes).  An unstable
-    ``(g, n)`` raises ``ValueError``, and so does a rational-tails space of
-    genus below 2 (through :func:`decorated_basis`)."""
+    ``(g, n)`` raises ``ValueError`` (through :func:`top_degree`), and so
+    does a rational-tails space of genus below 2 (through
+    :func:`decorated_basis`)."""
     top = top_degree(space, g, n)
-    if 2 * g - 2 + n <= 0:
-        raise ValueError("unstable (g, n)")
     ranks = [0] * (top + 1)
     for k in range(top // 2 + 1):
         r = rank(gram(g, n, k, space))

@@ -144,14 +144,20 @@ def test_negative_genus_or_leg_count_is_rejected(argv, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["-g", "0", "-n", "2"], "unstable (g, n)"),
-        (["-g", "1", "-n", "0", "--space", "rt"], "unstable (g, n)"),
-        (["-g", "0", "-n", "1", "--space", "ct"], "unstable (g, n)"),
-        (["-g", "1", "-n", "2", "--space", "rt"], "rational-tails spaces need genus >= 2"),
+        (["rank-table", "-g", "0", "-n", "2"], "unstable (g, n)"),
+        (["rank-table", "-g", "1", "-n", "0", "--space", "rt"], "unstable (g, n)"),
+        (["rank-table", "-g", "0", "-n", "1", "--space", "ct"], "unstable (g, n)"),
+        (
+            ["rank-table", "-g", "1", "-n", "2", "--space", "rt"],
+            "rational-tails spaces need genus >= 2",
+        ),
+        # gram and enumerate reject an unstable (g, n) the same way
+        (["gram", "-g", "0", "-n", "2", "-k", "0"], "unstable (g, n)"),
+        (["enumerate", "-g", "0", "-n", "2", "-k", "0"], "unstable (g, n)"),
     ],
 )
 def test_rank_table_rejects_spaces_without_a_pairing(argv, message, capsys):
-    assert main(["rank-table", *argv]) == 2
+    assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from strataring.enumeration import (
+    common_refinements,
     decorated_basis,
     space_admits,
     stable_graphs,
@@ -30,8 +31,25 @@ def test_bad_arguments_are_rejected():
             stable_graphs(*args)
     with pytest.raises(ValueError):
         top_degree("mbar", -1, 5)
+    for space in ("mbar", "ct", "rt"):
+        for g, n in [(0, 0), (0, 1), (0, 2), (1, 0)]:
+            with pytest.raises(ValueError, match=r"unstable \(g, n\)"):
+                top_degree(space, g, n)
     with pytest.raises(ValueError):
         decorated_basis(2, -1, 0, "mbar")
+
+
+def test_edge_counts_above_the_maximum_give_no_graphs():
+    # a stable graph of M_2,0 has at most 3 edges; more gives () without
+    # sweeping one level per edge
+    assert len(stable_graphs(2, 0, 3)) == 2
+    assert stable_graphs(2, 0, 4) == stable_graphs(2, 0, 500) == ()
+    assert stable_graphs(2, 0, 500, "ct") == ()
+    # two graphs with the most edges carry only themselves
+    top = stable_graphs(2, 0, 3)
+    for G in top:
+        for H in top:
+            assert list(common_refinements(G, H, "mbar")) == ([G] if G is H else [])
 
 
 def test_one_edge_counts():

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -13,6 +15,7 @@ from strataring.integrals import (
     LAMBDA_PAIR,
     LAMBDA_TOP,
     DimensionMismatch,
+    _submultisets,
     bernoulli,
     cache_clear,
     cache_get,
@@ -105,9 +108,9 @@ def test_string_and_dilaton_on_random_inputs():
 
 def _kappa_reduce_reference(g, psi, kappa, kind, pick):
     """Same pushforward recursion, removing the kappa index chosen by
-    ``pick`` first; independent of the library's internal ordering."""
-    from strataring.integrals import _multiset_difference, _submultisets
-
+    ``pick`` first and summing over every subset of the positions of the
+    other indices, with no multiset bookkeeping; independent of the
+    library's internal ordering and helpers."""
     kappa = tuple(kappa)
     if not kappa:
         return hodge_psi(g, psi, kind)
@@ -115,19 +118,34 @@ def _kappa_reduce_reference(g, psi, kappa, kind, pick):
     b1 = kappa[i]
     rest = kappa[:i] + kappa[i + 1 :]
     total = F(0)
-    for sub, mult in _submultisets(tuple(sorted(rest))):
-        total += (
-            (-1) ** len(sub)
-            * mult
-            * _kappa_reduce_reference(
-                g,
-                tuple(psi) + (b1 + 1 + sum(sub),),
-                _multiset_difference(tuple(sorted(rest)), sub),
-                kind,
-                pick,
-            )
+    for chosen in _position_subsets(len(rest)):
+        sub = [rest[k] for k in chosen]
+        others = tuple(x for k, x in enumerate(rest) if k not in chosen)
+        new_point = b1 + 1 + sum(sub)
+        total += (-1) ** len(sub) * _kappa_reduce_reference(
+            g, tuple(psi) + (new_point,), others, kind, pick
         )
     return total
+
+
+def _position_subsets(n):
+    return (chosen for size in range(n + 1) for chosen in combinations(range(n), size))
+
+
+@pytest.mark.parametrize("values", [(), (3,), (2, 2), (3, 1, 2), (1, 2, 2, 3, 3, 3), (4, 1, 4, 1, 1)])
+def test_submultisets_count_the_subsets_of_points(values):
+    # one entry per (sub, complement) pair, weighted by the number of
+    # subsets of the points that give it
+    brute = Counter()
+    for chosen in _position_subsets(len(values)):
+        sub = tuple(sorted(values[k] for k in chosen))
+        complement = tuple(sorted(x for k, x in enumerate(values) if k not in chosen))
+        brute[sub, complement] += 1
+    got = {}
+    for sub, complement, multiplicity in _submultisets(values):
+        assert (sub, complement) not in got
+        got[sub, complement] = multiplicity
+    assert got == dict(brute)
 
 
 def test_kappa_values():

@@ -5,7 +5,10 @@ from __future__ import annotations
 import strataring.canon as canon
 from strataring.algebra import (
     FormalSum,
+    _compositions,
+    _expand_structure_raw,
     _generic_pairs_interned,
+    _multinomial,
     _transport,
     multiply,
     pair_contributions,
@@ -71,29 +74,31 @@ def test_products_of_genus_two_classes_match_the_per_structure_sum():
     assert any(len(common) > 1 for common in common_by_value.values())
 
 
+# kappa on the vertex of the smooth curve, or on a vertex of a
+# separating edge, times graphs that split that vertex into several
+# vertices of the carrier; kappa_1^2 spreads as 2 * (1, 1) over two
+_FIBRE_CASES = [
+    (dec([2], legs={1: 0}, kappa={0: ((1, 1),)}), dec([1, 1], [(0, 1)], legs={1: 0})),
+    (
+        dec([1, 1], [(0, 1)], legs={1: 1}, kappa={1: ((1, 2),)}),
+        dec([1, 0, 1], [(0, 1), (1, 2)], legs={1: 1}),
+    ),
+    (
+        dec([1, 1], [(0, 1)], legs={1: 1}, kappa={0: ((1, 1),), 1: ((2, 1),)}),
+        dec([1, 0, 1], [(0, 1), (1, 2)], legs={1: 1}, kappa={2: ((1, 1),)}),
+    ),
+    # two kappa jobs whose fibres some structures list out of sorted
+    # order: the raw terms are listed in the first structure's order,
+    # which picks the printed representatives
+    (
+        dec([1, 1], [(0, 1)], legs={1: 0}, kappa={0: ((1, 1),)}),
+        dec([1, 1], [(0, 1)], legs={1: 0}, kappa={0: ((1, 1),)}),
+    ),
+]
+
+
 def test_kappa_spread_over_a_fibre_of_several_vertices():
-    # kappa on the vertex of the smooth curve, or on a vertex of a
-    # separating edge, times graphs that split that vertex into several
-    # vertices of the carrier; kappa_1^2 spreads as 2 * (1, 1) over two
-    cases = [
-        (dec([2], legs={1: 0}, kappa={0: ((1, 1),)}), dec([1, 1], [(0, 1)], legs={1: 0})),
-        (
-            dec([1, 1], [(0, 1)], legs={1: 1}, kappa={1: ((1, 2),)}),
-            dec([1, 0, 1], [(0, 1), (1, 2)], legs={1: 1}),
-        ),
-        (
-            dec([1, 1], [(0, 1)], legs={1: 1}, kappa={0: ((1, 1),), 1: ((2, 1),)}),
-            dec([1, 0, 1], [(0, 1), (1, 2)], legs={1: 1}, kappa={2: ((1, 1),)}),
-        ),
-        # two kappa jobs whose fibres some structures list out of sorted
-        # order: the raw terms are listed in the first structure's order,
-        # which picks the printed representatives
-        (
-            dec([1, 1], [(0, 1)], legs={1: 0}, kappa={0: ((1, 1),)}),
-            dec([1, 1], [(0, 1)], legs={1: 0}, kappa={0: ((1, 1),)}),
-        ),
-    ]
-    for dx, dy in cases:
+    for dx, dy in _FIBRE_CASES:
         x, y = FormalSum.unit(dx), FormalSum.unit(dy)
         assert any(
             len(fibre) > 1 for _, _, jobs, _ in _transported_keys(x, y) for fibre, _, _ in jobs
@@ -101,11 +106,16 @@ def test_kappa_spread_over_a_fibre_of_several_vertices():
         assert len(_assert_matches_reference(x, y)) > 1
 
 
+# the H-edge maps to either edge of the chain, which the psi class at its
+# end tells apart: same transported decoration, other excess
+_COMMON_EDGE_CASE = (
+    dec([1, 1, 1], [(0, 1), (1, 2)], psi={0: 1}),
+    dec([1, 2], [(0, 1)]),
+)
+
+
 def test_structures_that_differ_only_in_common_edges():
-    # the H-edge maps to either edge of the chain, which the psi class at
-    # its end tells apart: same transported decoration, other excess
-    x = FormalSum.unit(dec([1, 1, 1], [(0, 1), (1, 2)], psi={0: 1}))
-    y = FormalSum.unit(dec([1, 2], [(0, 1)]))
+    x, y = map(FormalSum.unit, _COMMON_EDGE_CASE)
     common_by_value: dict[tuple, set] = {}
     for A, psi, jobs, common in _transported_keys(x, y):
         common_by_value.setdefault((id(A), psi, jobs), set()).add(common)
@@ -145,3 +155,68 @@ def test_multiply_canonicalizes_each_distinct_raw_decoration_once(fixtures_dir, 
     product = multiply(relation, relation)
     assert len(calls) <= bound
     assert product == _per_structure_product(relation, relation)
+
+
+def _reference_expansion(A, base_psi, kappa_jobs, common_edges):
+    """The recursive expansion that ``_expand_structure_raw`` replaced:
+    kappa jobs first, then one psi bump per common edge, each as a nested
+    recursion, with the kappa tuple rebuilt for every bump choice."""
+    job_expansions = []
+    for fiber, j, f in kappa_jobs:
+        opts = []
+        for counts in _compositions(f, len(fiber)):
+            placement = tuple((x, j, c) for x, c in zip(fiber, counts) if c)
+            opts.append((_multinomial(f, counts), placement))
+        job_expansions.append(opts)
+    excess_options = [((e[0],), (e[1],)) for e in common_edges]
+    sign = (-1) ** len(common_edges)
+    out = []
+
+    def rec_jobs(i, coeff, placements):
+        if i == len(job_expansions):
+            rec_excess(0, coeff, placements, ())
+            return
+        for c, placement in job_expansions[i]:
+            rec_jobs(i + 1, coeff * c, placements + placement)
+
+    def rec_excess(i, coeff, placements, bumps):
+        if i == len(excess_options):
+            psi = list(base_psi)
+            for h in bumps:
+                psi[h] += 1
+            kappa_acc = [dict() for _ in range(A.n_vertices)]
+            for x, j, c in placements:
+                kappa_acc[x][j] = kappa_acc[x].get(j, 0) + c
+            out.append(
+                (sign * coeff, tuple(psi), tuple(tuple(sorted(k.items())) for k in kappa_acc))
+            )
+            return
+        for choice in excess_options[i]:
+            rec_excess(i + 1, coeff, placements, bumps + choice)
+
+    rec_jobs(0, 1, ())
+    return out
+
+
+def test_expansion_matches_the_recursive_reference_term_by_term(fixtures_dir):
+    # every value key of the products of this file; the order of the raw
+    # terms picks the printed representatives, so it must match too
+    g = load_sum(str(fixtures_dir / "worked_product_g.sum"))
+    h = load_sum(str(fixtures_dir / "worked_product_h.sum"))
+    relation = load_sum(str(fixtures_dir / "m21_relation.sum"))
+    classes = [FormalSum.unit(d) for k in (1, 2) for d in decorated_basis(2, 1, k, "mbar")]
+    basis2 = decorated_basis(2, 1, 2, "mbar")
+    difference = FormalSum.unit(basis2[0]) - FormalSum.unit(basis2[2]).scale(8)
+    products = [(g, h), (h, g), (relation, relation), (difference, classes[0])]
+    products += [(x, y) for x in classes for y in classes]
+    products += [tuple(map(FormalSum.unit, case)) for case in _FIBRE_CASES + [_COMMON_EDGE_CASE]]
+    keys = {
+        (A, psi, jobs, common)
+        for x, y in products
+        for A, psi, jobs, common in _transported_keys(x, y)
+    }
+    for key in keys:
+        assert _expand_structure_raw(*key) == _reference_expansion(*key), key
+    assert any(len(fibre) > 1 for _, _, jobs, _ in keys for fibre, _, _ in jobs)
+    assert any(len(jobs) > 1 for _, _, jobs, _ in keys)
+    assert any(len(common) > 1 for _, _, _, common in keys)

@@ -6,11 +6,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from strataring.algebra import FormalSum, multiply
+from strataring.algebra import FormalSum, SpaceMismatch, multiply
 from strataring.enumeration import decorated_basis, top_degree
 from strataring.integrals import evaluation_kind, integrate_sum
 from strataring.pairing import (
     gram,
+    integrate_product,
     kernel_basis,
     matrix_rank,
     null_space,
@@ -135,6 +136,23 @@ def _partition_numbers(m: int) -> list[int]:
         for total in range(part, m + 1):
             p[total] += p[total - part]
     return p
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        # a codimension-1 class of M_2 against classes of M_1,2 of
+        # codimension 1 and 2, and against the fundamental class of M_3
+        ((2, 0, 1), (1, 2, 1)),
+        ((2, 0, 1), (1, 2, 2)),
+        ((2, 0, 1), (3, 0, 0)),
+    ],
+)
+def test_pairing_sums_on_different_spaces_raises_space_mismatch(x, y):
+    a, b = (FormalSum.unit(decorated_basis(g, n, k, "mbar")[0]) for g, n, k in (x, y))
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(SpaceMismatch):
+            integrate_product(left, right, "mbar")
 
 
 def test_rational_tails_genus_g_oracle():
