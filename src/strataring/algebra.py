@@ -22,7 +22,11 @@ the transported decorations and the common edges).  One pipeline,
 pairs, expands each key once and sums the raw decorations per carrier.
 Its two consumers differ only in the last step: :func:`multiply` takes
 the canonical form of each distinct raw decoration once, and
-``pairing.integrate_product`` integrates it once.
+``pairing.integrate_product`` integrates it once.  A consumer may also
+name a degree for every vertex of a carrier; then only the raw terms of
+exactly those vertex degrees are built.  ``integrate_product`` names the
+top degree of each vertex, the only degree whose integral can be nonzero;
+``multiply`` names none and gets every term.
 """
 
 from __future__ import annotations
@@ -301,17 +305,21 @@ def _generic_pairs_interned(RG: StableGraph, RH: StableGraph):
     return _pair_cache[key]
 
 
-def _compositions(total: int, parts: int):
-    """Weak compositions of ``total`` into ``parts`` slots."""
+def _compositions(total: int, parts: int, caps=None):
+    """Weak compositions of ``total`` into ``parts`` slots, with slot ``i``
+    at most ``caps[i]`` when ``caps`` is given."""
     if parts == 0:
         if total == 0:
             yield ()
         return
+    cap = total if caps is None else min(total, caps[0])
     if parts == 1:
-        yield (total,)
+        if total <= cap:
+            yield (total,)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+    rest_caps = None if caps is None else caps[1:]
+    for first in range(cap + 1):
+        for rest in _compositions(total - first, parts - 1, rest_caps):
             yield (first,) + rest
 
 
@@ -342,7 +350,7 @@ def _transport(A: StableGraph, pair: PairStructure, decoG, decoH):
     return tuple(base_psi), tuple(jobs)
 
 
-def _expand_structure_raw(A: StableGraph, base_psi, kappa_jobs, common_edges):
+def _expand_structure_raw(A: StableGraph, base_psi, kappa_jobs, common_edges, targets=None):
     """Expansion of the contribution of a structure with these transported
     decorations (see :func:`_transport`) and common edges, as a list of raw
     ``(signed integer coefficient, psi tuple, kappa item tuples)`` terms on
@@ -355,11 +363,37 @@ def _expand_structure_raw(A: StableGraph, base_psi, kappa_jobs, common_edges):
     the order of ``itertools.product``: over the spreads (first job
     outermost), then over the psi bumps (first common edge outermost).
     The kappa tuple of a spread choice is built once, for all its bumps.
+
+    ``targets``, one degree per vertex of ``A``, keeps only the terms whose
+    decoration has exactly that degree at every vertex, in the same order.
+    The gap of a vertex is its target less its transported psi.  A key
+    with a negative gap, or whose kappa degree and common edges do not add
+    up to the sum of the gaps, has no such term.  Otherwise only the
+    compositions that fit under the gaps of their fibre are spread, and a
+    spread choice takes only the bumps that close every remaining gap.
     """
+    gaps = None
+    if targets is not None:
+        vertex_of = A.vertex_of
+        gaps = list(targets)
+        for h, e in enumerate(base_psi):
+            gaps[vertex_of[h]] -= e
+        excess = sum(j * f for _, j, f in kappa_jobs) + len(common_edges)
+        if min(gaps) < 0 or sum(gaps) != excess:
+            return []
+        # the bumps grouped by the degree they add to each vertex
+        closing: dict[tuple, list] = {}
+        for bumps in product(*common_edges):
+            added = [0] * A.n_vertices
+            for h in bumps:
+                added[vertex_of[h]] += 1
+            closing.setdefault(tuple(added), []).append(bumps)
     spreads = [
         [
             (_multinomial(f, counts), [(x, j, c) for x, c in zip(fiber, counts) if c])
-            for counts in _compositions(f, len(fiber))
+            for counts in _compositions(
+                f, len(fiber), None if gaps is None else [gaps[x] // j for x in fiber]
+            )
         ]
         for fiber, j, f in kappa_jobs
     ]
@@ -372,8 +406,13 @@ def _expand_structure_raw(A: StableGraph, base_psi, kappa_jobs, common_edges):
             coeff *= c
             for x, j, p in placement:
                 kappa[x][j] = kappa[x].get(j, 0) + p
+        if gaps is None:
+            bump_choices = product(*common_edges)
+        else:
+            rest = tuple(gap - sum(j * p for j, p in k.items()) for gap, k in zip(gaps, kappa))
+            bump_choices = closing.get(rest, ())
         kappa = tuple(tuple(sorted(k.items())) for k in kappa)
-        for bumps in product(*common_edges):
+        for bumps in bump_choices:
             psi = list(base_psi)
             for h in bumps:
                 psi[h] += 1
@@ -400,7 +439,7 @@ def pair_contributions(x: DecoratedGraph, y: DecoratedGraph):
             ]
 
 
-def _product_terms(term_pairs):
+def _product_terms(term_pairs, targets=None):
     """The raw terms of a product, carrier by carrier.
 
     ``term_pairs`` yields ``(coeff, x, y)``: a ``Fraction`` and two
@@ -412,6 +451,13 @@ def _product_terms(term_pairs):
     over the term pairs, and each key with a nonzero weight is expanded
     once, with the kappa jobs of the first structure that has it, so that
     the raw terms come in the order of that structure's own expansion.
+
+    ``targets``, if given, maps each carrier ``A`` to one degree per vertex
+    of ``A``; it is called once per carrier, before its keys are expanded,
+    and only the raw terms of exactly those vertex degrees are built (see
+    :func:`_expand_structure_raw`).  A consumer that integrates passes the
+    top degree of each vertex, since no other term integrates to a nonzero
+    value; :func:`multiply` passes nothing and gets every term.
 
     Yields ``(A, {(psi, kappa): coeff})`` per carrier, in the order in
     which the carriers first occur: the raw decorations on ``A`` with a
@@ -445,6 +491,7 @@ def _product_terms(term_pairs):
                 else:
                     seen[0] += weight * count
     for A, keyed in carriers.values():
+        degrees = None if targets is None else targets(A)
         # the raw terms are summed as integer multiples of one denominator
         # per carrier, so that a raw term costs no Fraction arithmetic
         denominator = lcm(*(weight.denominator for weight, _ in keyed.values()))
@@ -452,7 +499,8 @@ def _product_terms(term_pairs):
         for (base_psi, _, common_edges), (weight, jobs) in keyed.items():
             scale = weight.numerator * (denominator // weight.denominator)
             if scale:
-                for coeff, psi, kappa in _expand_structure_raw(A, base_psi, jobs, common_edges):
+                terms = _expand_structure_raw(A, base_psi, jobs, common_edges, degrees)
+                for coeff, psi, kappa in terms:
                     deco = (psi, kappa)
                     raw[deco] = raw.get(deco, 0) + scale * coeff
         keyed.clear()  # the keys are spent; free them before the consumer runs

@@ -33,7 +33,11 @@ def integrate_product(x: FormalSum, y: FormalSum, kind) -> Fraction:
     canonical merging of product terms: the raw terms of each carrier
     come from the pipeline of ``multiply`` (``algebra._product_terms``),
     and each distinct raw decoration is integrated once, vertex by
-    vertex.  Only the term pairs of complementary codimension whose
+    vertex.  The pipeline builds only the raw terms whose decoration at
+    every vertex has the top degree that ``hodge_split`` gives it, taken
+    once per carrier, since no other term integrates to a nonzero value;
+    the same split then names the class each vertex is integrated
+    against.  Only the term pairs of complementary codimension whose
     graphs the space of ``kind`` admits are fed to it: ct and rt graphs
     are closed under contraction, so no carrier of another graph is
     admitted.  The carriers of two admitted graphs lie in the narrowest
@@ -51,16 +55,20 @@ def integrate_product(x: FormalSum, y: FormalSum, kind) -> Fraction:
     term_pairs = (
         (cG * cH, dG, dH) for cG, dG in xs for cH, dH in ys if dG.codim + dH.codim == top
     )
+    splits = {}  # id(carrier) -> its hodge_split, taken once per carrier
+
+    def top_degrees(A):
+        splits[id(A)] = split = hodge_split(A, kind)
+        return [vtop for _, _, vtop in split]
+
     total = Fraction(0)
-    for A, raw in _product_terms(term_pairs):
-        split = hodge_split(A, kind)
+    for A, raw in _product_terms(term_pairs, top_degrees):
+        split = splits.pop(id(A))
         halfedges_at = A.halfedges_at
         for (psi, kappa), value in raw.items():
-            for v, (gv, vkind, vtop) in enumerate(split):
+            for v, (gv, vkind, _) in enumerate(split):
                 psis = tuple(psi[h] for h in halfedges_at[v])
                 kap = tuple(j for j, f in kappa[v] for _ in range(f))
-                if sum(psis) + sum(kap) != vtop:
-                    break
                 factor = kappa_reduce(gv, psis, kap, vkind)
                 if factor == 0:
                     break
@@ -96,16 +104,16 @@ GRAM_WARN_PAIRINGS = 50_000
 
 def gram(g: int, n: int, k: int, space: str) -> GramMatrix:
     """Exact pairing matrix of the codimension-``k`` spanning set against
-    the complementary one.  Warns (``RuntimeWarning``) before filling more
-    than ``GRAM_WARN_PAIRINGS`` entries.  In the middle codimension the
-    rows are the columns and the pairing commutes, so only the upper
-    triangle is computed."""
+    the complementary one.  In the middle codimension the rows are the
+    columns and the pairing commutes, so only the upper triangle is
+    computed.  Warns (``RuntimeWarning``) before computing more than
+    ``GRAM_WARN_PAIRINGS`` pairings."""
     top = top_degree(space, g, n)
     if not (0 <= k <= top):
         raise ValueError(f"codimension {k} outside 0..{top}")
     rows = decorated_basis(g, n, k, space)
     cols = rows if 2 * k == top else decorated_basis(g, n, top - k, space)
-    size = len(rows) * len(cols)
+    size = len(rows) * (len(rows) + 1) // 2 if cols is rows else len(rows) * len(cols)
     if size > GRAM_WARN_PAIRINGS:
         warnings.warn(
             f"gram({g}, {n}, {k}, {space!r}) fills {size} pairings; this may take very long",
@@ -179,8 +187,12 @@ def rank(m: GramMatrix) -> int:
 def kernel_basis(m: GramMatrix) -> list[list[Fraction]]:
     """Basis of the row kernel: vectors ``v`` (indexed like ``m.rows``)
     with ``v . entries == 0``, denominators cleared to primitive integer
-    vectors.  These are the candidate relations among the row classes."""
-    return null_space([list(col) for col in zip(*m.entries)]) if m.entries else []
+    vectors.  These are the candidate relations among the row classes.
+    With no columns every row vector pairs to zero, so the basis is the
+    unit vectors."""
+    if not m.cols:
+        return [[Fraction(int(i == j)) for j in range(len(m.rows))] for i in range(len(m.rows))]
+    return null_space([list(col) for col in zip(*m.entries)])
 
 
 def null_space(entries) -> list[list[Fraction]]:

@@ -198,9 +198,8 @@ def _reference_expansion(A, base_psi, kappa_jobs, common_edges):
     return out
 
 
-def test_expansion_matches_the_recursive_reference_term_by_term(fixtures_dir):
-    # every value key of the products of this file; the order of the raw
-    # terms picks the printed representatives, so it must match too
+def _products_of_this_file(fixtures_dir):
+    """Every product that the tests of this file take, as ``(x, y)``."""
     g = load_sum(str(fixtures_dir / "worked_product_g.sum"))
     h = load_sum(str(fixtures_dir / "worked_product_h.sum"))
     relation = load_sum(str(fixtures_dir / "m21_relation.sum"))
@@ -210,9 +209,15 @@ def test_expansion_matches_the_recursive_reference_term_by_term(fixtures_dir):
     products = [(g, h), (h, g), (relation, relation), (difference, classes[0])]
     products += [(x, y) for x in classes for y in classes]
     products += [tuple(map(FormalSum.unit, case)) for case in _FIBRE_CASES + [_COMMON_EDGE_CASE]]
+    return products
+
+
+def test_expansion_matches_the_recursive_reference_term_by_term(fixtures_dir):
+    # every value key of the products of this file; the order of the raw
+    # terms picks the printed representatives, so it must match too
     keys = {
         (A, psi, jobs, common)
-        for x, y in products
+        for x, y in _products_of_this_file(fixtures_dir)
         for A, psi, jobs, common in _transported_keys(x, y)
     }
     for key in keys:

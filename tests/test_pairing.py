@@ -10,6 +10,7 @@ from strataring.algebra import FormalSum, SpaceMismatch, multiply
 from strataring.enumeration import decorated_basis, top_degree
 from strataring.integrals import evaluation_kind, integrate_sum
 from strataring.pairing import (
+    GramMatrix,
     gram,
     integrate_product,
     kernel_basis,
@@ -65,6 +66,27 @@ def test_null_space_primitive_integer_vectors():
         for v in basis:
             assert all(x.denominator == 1 for x in v)
             assert all(sum(F(a) * x for a, x in zip(row, v)) == 0 for row in entries)
+
+
+def test_kernel_of_a_gram_matrix_without_columns_is_every_row_vector():
+    rows = tuple(decorated_basis(2, 1, 1, "mbar")[:3])
+    m = GramMatrix(2, 1, 1, "mbar", rows, (), [[], [], []])
+    assert kernel_basis(m) == [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
+    assert kernel_basis(GramMatrix(2, 1, 1, "mbar", (), rows, [])) == []
+
+
+@pytest.mark.parametrize("g,n,k,space", [(2, 1, 1, "mbar"), (3, 1, 2, "ct"), (3, 2, 1, "rt")])
+def test_small_gram_blocks_match_multiply_then_integrate(g, n, k, space):
+    # every entry, so that each targeted expansion of the fused pairing
+    # meets the materialized product; the rt block has genus-0 vertices
+    m = gram(g, n, k, space)
+    assert len(m.rows) * len(m.cols) > 1
+    for a, row in zip(m.rows, m.entries):
+        for b, value in zip(m.cols, row):
+            assert value == integrate_sum(multiply(FormalSum.unit(a), FormalSum.unit(b)), space)
+    if space == "rt":
+        assert any(0 in d.graph.genera for d in m.rows + m.cols)
+    assert any(any(row) for row in m.entries)
 
 
 def test_kernel_roundtrip_property():
@@ -198,12 +220,17 @@ def test_middle_gram_computes_one_triangle(monkeypatch, g, n, k, space):
         return real(a, b, sp)
 
     monkeypatch.setattr(pairing, "pairing_value", counted)
-    monkeypatch.setattr(pairing, "GRAM_WARN_PAIRINGS", 0)
     size = len(decorated_basis(g, n, k, space))
-    # the warning still counts the whole matrix
-    with pytest.warns(RuntimeWarning, match=f"fills {size * size} pairings"):
+    triangle = size * (size + 1) // 2
+    # the warning counts the pairings computed, not the whole matrix
+    monkeypatch.setattr(pairing, "GRAM_WARN_PAIRINGS", triangle - 1)
+    with pytest.warns(RuntimeWarning, match=f"fills {triangle} pairings"):
         m = pairing.gram(g, n, k, space)
     assert 2 * k == top_degree(space, g, n) and list(m.rows) == list(m.cols)
-    assert len(calls) == size * (size + 1) // 2
+    assert len(calls) == triangle
+    monkeypatch.setattr(pairing, "GRAM_WARN_PAIRINGS", triangle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairing.gram(g, n, k, space)
     full = [[real(r, c, space) for c in m.cols] for r in m.rows]
     assert m.entries == full
