@@ -7,8 +7,14 @@ arrowhead (codimension 6).  Their product is a top-degree class whose
 integral comes out to exactly 1/8.
 """
 
-from strataring import FormalSum, integrate_sum, multiply, normalize, parse_decorated
-from strataring.algebra import pair_contributions
+from strataring import (
+    FormalSum,
+    enumerate_generic_pairs,
+    integrate_sum,
+    multiply,
+    normalize,
+    parse_decorated,
+)
 from strataring.integrals import FUNDAMENTAL
 
 G = parse_decorated(
@@ -23,17 +29,11 @@ print(f"factor 1 (codim {G.codim}):", G)
 print(f"factor 2 (codim {H.codim}):", H)
 
 # the two carrier graphs, with their raw structure counts
-families = {}
-for A, pair, terms in pair_contributions(G, H):
-    entry = families.setdefault(A.canonical_key, [A, 0, set(), len(terms), set()])
-    entry[1] += 1
-    entry[2].add(len(pair.common_edges))
-    entry[4].update(c for c, _ in terms)
-for A, count, commons, n_terms, coeffs in families.values():
+for A, pairs in enumerate_generic_pairs(G.graph, H.graph):
+    commons = sorted({len(pair.common_edges) for pair in pairs})
     print(
-        f"carrier with {A.n_edges} edges, |Aut| = {A.aut_order}: {count} raw"
-        f" generic structures, common edges {sorted(commons)},"
-        f" {n_terms} expansion terms of coefficients {sorted(coeffs)}"
+        f"carrier with {A.n_edges} edges, |Aut| = {A.aut_order}: {len(pairs)} raw"
+        f" generic structures, common edges {commons}"
     )
 
 product = multiply(FormalSum.unit(G), FormalSum.unit(H))

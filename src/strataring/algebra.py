@@ -18,15 +18,14 @@ class conventionally written with a ``1/|Aut|`` in front is produced by
 
 That expansion depends only on the value key of a structure (the carrier,
 the transported decorations and the common edges).  One pipeline,
-:func:`_product_terms`, counts the structures per key over all term
-pairs, expands each key once and sums the raw decorations per carrier.
-Its two consumers differ only in the last step: :func:`multiply` takes
-the canonical form of each distinct raw decoration once, and
-``pairing.integrate_product`` integrates it once.  A consumer may also
-name a degree for every vertex of a carrier; then only the raw terms of
-exactly those vertex degrees are built.  ``integrate_product`` names the
-top degree of each vertex, the only degree whose integral can be nonzero;
-``multiply`` names none and gets every term.
+:func:`_product_terms`, counts the pair structures per key over all term
+pairs from tallies of each side's structures, without building a pair,
+expands each key once and sums the raw decorations per carrier.  Its two
+consumers differ only in the last step: :func:`multiply` takes the
+canonical form of each distinct raw decoration once, and
+``pairing.integrate_product`` integrates it once, and names the top
+degree of each carrier vertex, so that only the raw terms of those
+degrees, the only ones whose integral can be nonzero, are built.
 """
 
 from __future__ import annotations
@@ -35,10 +34,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import factorial, lcm
+from operator import add, gt, itemgetter
 
 from . import canon
 from .graphs import GraphError, StableGraph, intern
-from .structures import PairStructure, enumerate_generic_pairs
+from .structures import _contraction, _generic_carriers
 
 
 class SpaceMismatch(ValueError):
@@ -301,7 +301,7 @@ _pair_cache: dict[tuple[object, object], list] = {}
 def _generic_pairs_interned(RG: StableGraph, RH: StableGraph):
     key = (RG.canonical_key, RH.canonical_key)
     if key not in _pair_cache:
-        _pair_cache[key] = enumerate_generic_pairs(RG, RH)
+        _pair_cache[key] = _generic_carriers(RG, RH)
     return _pair_cache[key]
 
 
@@ -330,47 +330,24 @@ def _multinomial(total: int, counts) -> int:
     return out
 
 
-def _transport(A: StableGraph, pair: PairStructure, decoG, decoH):
-    """The decorations of ``G`` and ``H`` transported onto ``A`` through one
-    pair structure, given as the sparse items of
-    :attr:`DecoratedGraph._interned`: the psi exponent of every
-    ``A``-half-edge, and one ``(fibre, j, f)`` kappa job per kappa_j^f of a
-    ``G``- or ``H``-vertex, whose fibre is the tuple of ``A``-vertices over
-    it (left jobs first, each side in vertex order)."""
-    base_psi = [0] * A.n_halfedges
-    jobs = []
-    for structure, (psi_items, kappa_items) in ((pair.left, decoG), (pair.right, decoH)):
-        beta = structure.beta
-        for h, e in psi_items:
-            base_psi[beta[h]] += e
-        if kappa_items:
-            alpha = structure.alpha
-            for u, j, f in kappa_items:
-                jobs.append((tuple(x for x, w in enumerate(alpha) if w == u), j, f))
-    return tuple(base_psi), tuple(jobs)
-
-
 def _expand_structure_raw(A: StableGraph, base_psi, kappa_jobs, common_edges, targets=None):
     """Expansion of the contribution of a structure with these transported
-    decorations (see :func:`_transport`) and common edges, as a list of raw
+    decorations (see :func:`_side_groups`) and common edges, as a list of raw
     ``(signed integer coefficient, psi tuple, kappa item tuples)`` terms on
     ``A``, without the ``1/|Aut A|`` weight.
 
-    The expansion is a product over independent choices.  Each kappa job
-    ``(fibre, j, f)`` spreads kappa_j^f over its fibre in every weak
-    composition of ``f``, with its multinomial coefficient; each common
-    edge ``(h, h')`` contributes ``(-psi_h - psi_h')``.  The terms come in
-    the order of ``itertools.product``: over the spreads (first job
-    outermost), then over the psi bumps (first common edge outermost).
-    The kappa tuple of a spread choice is built once, for all its bumps.
+    Each kappa job ``(fibre, j, f)`` spreads kappa_j^f over its fibre in
+    every weak composition of ``f``, with its multinomial coefficient; each
+    common edge ``(h, h')`` contributes ``(-psi_h - psi_h')``.  The terms
+    come in the order of ``itertools.product``: over the spreads (first
+    job outermost), then over the psi bumps (first common edge outermost).
 
-    ``targets``, one degree per vertex of ``A``, keeps only the terms whose
-    decoration has exactly that degree at every vertex, in the same order.
-    The gap of a vertex is its target less its transported psi.  A key
-    with a negative gap, or whose kappa degree and common edges do not add
-    up to the sum of the gaps, has no such term.  Otherwise only the
-    compositions that fit under the gaps of their fibre are spread, and a
-    spread choice takes only the bumps that close every remaining gap.
+    ``targets``, one degree per vertex of ``A``, keeps only the terms of
+    exactly those vertex degrees, in the same order.  A vertex's gap is its
+    target less its transported psi.  A key with a negative gap, or whose
+    kappa degree and common edges do not add up to the gaps, has no such
+    term; otherwise only the compositions that fit under the gaps are
+    spread, and only the bumps that close every remaining gap are taken.
     """
     gaps = None
     if targets is not None:
@@ -420,78 +397,101 @@ def _expand_structure_raw(A: StableGraph, base_psi, kappa_jobs, common_edges, ta
     return out
 
 
-def pair_contributions(x: DecoratedGraph, y: DecoratedGraph):
-    """Per-structure expansions of a product of two decorated graphs.
+def _side_groups(R: StableGraph, A: StableGraph, masks, deco, degrees=None) -> dict:
+    """The structures of ``R`` on ``A`` with a mask in ``masks``, grouped
+    per mask by the psi of every ``A``-half-edge and the kappa jobs
+    ``(fibre, j, f)`` they transport from ``deco`` (the sparse items of
+    :attr:`DecoratedGraph._interned`): ``{mask: [(first, count, psi,
+    jobs)]}``.  ``first``, ``(sort key, index)`` of the first structure,
+    orders all masks' structures as ``enumerate_generic_pairs`` does: sort
+    keys tie only within one contraction.  Groups whose psi exceeds
+    ``degrees`` are dropped."""
+    psi_items, kappa_items = deco
+    out = {}
+    for m in masks:
+        c = _contraction(R, A, m)
+        if not psi_items and not kappa_items:  # one group, which fits any degrees
+            out[m] = [((c.keys[0], 0), len(c.structures), (0,) * A.n_halfedges, ())]
+            continue
+        groups = {}
+        for i, s in enumerate(c.structures):
+            psi = [0] * A.n_halfedges
+            for h, e in psi_items:
+                psi[s.beta[h]] += e
+            jobs = tuple(
+                (tuple(x for x, w in enumerate(s.alpha) if w == u), j, f) for u, j, f in kappa_items
+            )
+            groups.setdefault((tuple(psi), jobs), [(c.keys[i], i), 0])[1] += 1
+        out[m] = kept = []
+        for (psi, jobs), (first, count) in groups.items():
+            if degrees is not None and psi_items:
+                load = [0] * len(degrees)
+                beta = c.structures[first[1]].beta
+                for h, e in psi_items:
+                    load[A.vertex_of[beta[h]]] += e
+                if any(map(gt, load, degrees)):
+                    continue
+            kept.append((first, count, psi, jobs))
+    return out
 
-    Yields ``(carrier, structure, terms)`` triples where ``terms`` is the
-    expansion of that one structure's contribution as ``(coeff,
-    DecoratedGraph)`` terms, without the ``1/|Aut(carrier)|`` weight;
-    summing the weighted terms over all structures reproduces ``multiply``.
-    """
-    RG, decoG = x._interned
-    RH, decoH = y._interned
-    for A, pairs in _generic_pairs_interned(RG, RH):
-        for pair in pairs:
-            base_psi, jobs = _transport(A, pair, decoG, decoH)
-            terms = _expand_structure_raw(A, base_psi, jobs, pair.common_edges)
-            yield A, pair, [
-                (Fraction(coeff), DecoratedGraph(A, psi, kappa)) for coeff, psi, kappa in terms
-            ]
+
+def _key_tally(A: StableGraph, partners, RG, decoG, RH, decoH, degrees=None) -> dict:
+    """``{value key: [count, jobs]}`` of the generic pairs on ``A`` with the
+    mask partners ``partners``.  Side groups of two partner masks stand for
+    ``count_G * count_H`` pairs of one key: the sum of their psi, their jobs
+    in sorted order and the common edges.  Taken in the order of their first
+    pairs, they list the keys as the pairs of ``enumerate_generic_pairs``
+    first meet them, with the jobs (left first) of that pair."""
+    groups_G = _side_groups(RG, A, [m for m, _ in partners], decoG, degrees)
+    groups_H = _side_groups(RH, A, {n for _, ns in partners for n, _ in ns}, decoH, degrees)
+    combos = [
+        (first_G, first_H, count_G * count_H, psi_G, psi_H, jobs_G + jobs_H, common)
+        for m, ns in partners
+        for n, common in ns
+        for first_G, count_G, psi_G, jobs_G in groups_G[m]
+        for first_H, count_H, psi_H, jobs_H in groups_H[n]
+    ]
+    combos.sort(key=itemgetter(0, 1))
+    tally: dict[tuple, list] = {}
+    for _, _, count, psi_G, psi_H, jobs, common in combos:
+        key = (tuple(map(add, psi_G, psi_H)), tuple(sorted(jobs)), common)
+        tally.setdefault(key, [0, jobs])[0] += count
+    return tally
 
 
 def _product_terms(term_pairs, targets=None):
     """The raw terms of a product, carrier by carrier.
 
     ``term_pairs`` yields ``(coeff, x, y)``: a ``Fraction`` and two
-    decorated graphs.  The contribution of a pair structure depends only
-    on its value key: its transported psi exponents, its kappa jobs
-    ``(fibre, j, f)`` in sorted order and its common edges (see
-    :func:`_transport`).  So the structures of each carrier ``A`` are
-    counted per key, the counts weighted by ``coeff / |Aut A|`` are summed
-    over the term pairs, and each key with a nonzero weight is expanded
-    once, with the kappa jobs of the first structure that has it, so that
-    the raw terms come in the order of that structure's own expansion.
-
-    ``targets``, if given, maps each carrier ``A`` to one degree per vertex
-    of ``A``; it is called once per carrier, before its keys are expanded,
-    and only the raw terms of exactly those vertex degrees are built (see
-    :func:`_expand_structure_raw`).  A consumer that integrates passes the
-    top degree of each vertex, since no other term integrates to a nonzero
-    value; :func:`multiply` passes nothing and gets every term.
+    decorated graphs.  The pairs on each carrier ``A`` are counted per
+    value key (:func:`_key_tally`), the counts weighted by ``coeff / |Aut
+    A|`` are summed over the term pairs, and each key with a nonzero weight
+    is expanded once, with the kappa jobs of its first pair.  ``targets``,
+    if given, maps each carrier to one degree per vertex when it is first
+    met, and only the raw terms of those degrees are built.
 
     Yields ``(A, {(psi, kappa): coeff})`` per carrier, in the order in
     which the carriers first occur: the raw decorations on ``A`` with a
     nonzero coefficient, in the order in which they first occur.
     """
-    # id(carrier) -> (carrier, {value key: [weight, jobs]}); holding the
-    # carrier keeps its id from being reused during the call
+    # id(carrier) -> (carrier, {value key: [weight, jobs]}, degrees);
+    # holding the carrier keeps its id from being reused during the call
     carriers: dict[int, tuple] = {}
     for c, x, y in term_pairs:
         RG, decoG = x._interned
         RH, decoH = y._interned
-        for A, pairs in _generic_pairs_interned(RG, RH):
-            entry = carriers.get(id(A))
-            if entry is None:
-                entry = carriers[id(A)] = (A, {})
-            keyed = entry[1]
-            tally: dict[tuple, list] = {}  # value key -> [count, jobs]
-            for pair in pairs:
-                base_psi, jobs = _transport(A, pair, decoG, decoH)
-                key = (base_psi, tuple(sorted(jobs)) if len(jobs) > 1 else jobs, pair.common_edges)
-                seen = tally.get(key)
-                if seen is None:
-                    tally[key] = [1, jobs]
-                else:
-                    seen[0] += 1
+        for A, partners in _generic_pairs_interned(RG, RH):
+            if id(A) not in carriers:
+                carriers[id(A)] = (A, {}, None if targets is None else targets(A))
+            _, keyed, degrees = carriers[id(A)]
             weight = c / A.aut_order
-            for key, (count, jobs) in tally.items():
+            for key, (count, jobs) in _key_tally(A, partners, RG, decoG, RH, decoH, degrees).items():
                 seen = keyed.get(key)
                 if seen is None:
                     keyed[key] = [weight * count, jobs]
                 else:
                     seen[0] += weight * count
-    for A, keyed in carriers.values():
-        degrees = None if targets is None else targets(A)
+    for A, keyed, degrees in carriers.values():
         # the raw terms are summed as integer multiples of one denominator
         # per carrier, so that a raw term costs no Fraction arithmetic
         denominator = lcm(*(weight.denominator for weight, _ in keyed.values()))

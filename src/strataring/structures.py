@@ -19,10 +19,13 @@ A pair of structures of ``G`` and ``H`` on ``A`` is generic exactly when
 their contracted edge sets are disjoint, because each structure covers
 precisely the edges it does not contract.  Pair search therefore pairs
 the covered-edge masks of the contractions that pass the fibre matching
-before it builds any structure, and builds structures only for the
-contractions that take part in a generic pair.  The carriers tried are
-the graphs that contract onto both ``G`` and ``H``, read from the
-refinement relation that the graph sweep keeps.
+and returns these mask partners: every structure with mask ``m`` pairs
+with every one with a partner mask ``n``, with the common edges of
+``m & n``.  Structures are built once per ``(G, A, mask)`` and only for
+the masks that have a partner; the product pipeline counts pairs from
+them side by side, and :func:`enumerate_generic_pairs` lists the pairs.
+The carriers tried are the graphs that contract onto both ``G`` and
+``H``, read from the refinement relation that the graph sweep keeps.
 
 Structures are enumerated raw (no quotient by ``Aut(A)``); the action of
 ``Aut(A)`` on generic pair structures is free, a fact the multiplication
@@ -309,32 +312,48 @@ def enumerate_generic_pairs(
     G: StableGraph, H: StableGraph
 ) -> list[tuple[StableGraph, list[PairStructure]]]:
     """Generic simultaneous structures of ``(G, H)``, grouped by the
-    isomorphism class of the carrying graph.
+    isomorphism class of the carrying graph: one representative graph per
+    class (see :func:`_generic_carriers`) with all raw generic pair
+    structures on it (every edge covered by at least one of the two
+    half-edge embeddings), ordered by the structure of ``G``, then by that
+    of ``H``; a pair's common edges are those inside both images."""
+    return [(A, _pairs_from(G, H, A, partners)) for A, partners in _generic_carriers(G, H)]
 
-    One representative graph per class is returned together with all raw
-    generic pair structures on it (every edge covered by at least one of
-    the two half-edge embeddings).
+
+def _pairs_from(G: StableGraph, H: StableGraph, A: StableGraph, partners) -> list[PairStructure]:
+    """The pair structures on ``A`` that the mask partners of :func:`_pairs_on`
+    stand for, in the order of the structures of ``G``, then of ``H``."""
+    on_H = _on(H, A)
+    found = {}  # G-mask -> [(t, common edges)], in the order of the H-structures
+    for m, ns in partners:
+        common = dict(ns)
+        found[m] = [(t, common[n]) for t, n in _in_order(on_H, common)]
+    return [PairStructure(s, t, c) for s, m in _in_order(_on(G, A), found) for t, c in found[m]]
+
+
+def _generic_carriers(G: StableGraph, H: StableGraph) -> list[tuple[StableGraph, list]]:
+    """The carriers of generic pairs of ``(G, H)``, one per isomorphism
+    class, with their mask partners (:func:`_pairs_on`).
 
     Carriers are taken from the narrowest of rt, ct and mbar that admits
     both ``G`` and ``H``; no generic carrier lies outside it.  For two
     trees: the uncontracted edges of a cycle of a carrier form a closed
-    walk in each tree that uses no edge twice, so there are none and the
-    cycle is left uncovered.  For two rt graphs: two positive-genus
-    vertices of a tree carrier lie in the fibre of the one positive vertex
-    on each side, so the path between them is left uncovered.
+    walk in each tree that uses no edge twice, so the cycle is left
+    uncovered.  For two rt graphs: two positive-genus vertices of a tree
+    carrier lie in the fibre of the one positive vertex on each side, so
+    the path between them is left uncovered.
 
-    Within that space only the graphs above both ``G`` and ``H`` in the
+    Within that space the graphs above both ``G`` and ``H`` in the
     one-edge refinement relation of the sweep are tried
-    (:func:`enumeration.common_refinements`), and they are all the
-    carriers with a structure of each.  A structure of ``G`` on ``A``
-    exists exactly when ``G`` is ``A`` with some edges contracted.  That
-    contraction factors into single-edge contractions through graphs of
-    the space, because the space is closed under contraction, and the
-    sweep meets a graph of every class ``Y`` with ``Y/e`` isomorphic to a
-    graph ``X`` it keeps, for some edge ``e``.  So ``A`` lies above ``G``
-    in the relation; conversely, every graph above ``G`` contracts onto
-    it.  The carriers, their order and their pairs are those of a scan
-    over every graph of the space in the edge range.
+    (:func:`enumeration.common_refinements`); they are all the carriers
+    with a structure of each.  A structure of ``G`` on ``A`` exists
+    exactly when ``G`` is ``A`` with some edges contracted, which factors
+    into single-edge contractions through graphs of the space (it is
+    closed under contraction), and the sweep meets a graph of every class
+    ``Y`` with ``Y/e`` isomorphic to a graph it keeps.  So ``A`` lies above
+    ``G``; conversely, every graph above ``G`` contracts onto it.  The
+    carriers, their order and their pairs are those of a scan over every
+    graph of the space in the edge range.
     """
     _check_compatible(G, H)
     from .enumeration import common_refinements, space_admits
@@ -344,9 +363,9 @@ def enumerate_generic_pairs(
     )
     out = []
     for A in common_refinements(G, H, space):
-        pairs = _pairs_on(G, H, A)
-        if pairs:
-            out.append((A, pairs))
+        partners = _pairs_on(G, H, A)
+        if partners:
+            out.append((A, partners))
     return out
 
 
@@ -364,64 +383,45 @@ def _on(G: StableGraph, A: StableGraph) -> tuple:
     return hit
 
 
+def _contraction(G: StableGraph, A: StableGraph, m: int) -> _Contraction:
+    """The contraction onto ``G`` with covered mask ``m``, its structures built."""
+    c = _on(G, A)[2][m]
+    c.build(G, A)
+    return c
+
+
 def _in_order(entry: tuple, masks) -> list[tuple]:
     """``(structure, mask)`` for each structure of the contractions
     ``masks`` of an entry ``(G, A, contractions by mask)``, in the order of
-    their sort keys.  The structures of a contraction are built on first
-    use."""
+    their sort keys; a contraction builds its structures on first use."""
     G, A, table = entry
-    runs = []
     for m in masks:
-        c = table[m]
-        c.build(G, A)
-        runs.append((c, m))
-    if len(runs) == 1:
-        c, m = runs[0]
-        return [(s, m) for s in c.structures]
+        table[m].build(G, A)
     merged = sorted(
-        ((k, s, m) for c, m in runs for k, s in zip(c.keys, c.structures)),
+        ((k, s, m) for m in masks for k, s in zip(table[m].keys, table[m].structures)),
         key=itemgetter(0),
     )
     return [(s, m) for _, s, m in merged]
 
 
-def _pairs_on(G: StableGraph, H: StableGraph, A: StableGraph) -> list[PairStructure]:
-    """Generic pair structures on ``A``, ordered by the structure of ``G``,
-    then by that of ``H``; a pair's common edges are those inside both
-    images.
-
-    A structure contracts a set ``S`` of edges of ``A`` and maps the
+def _pairs_on(G: StableGraph, H: StableGraph, A: StableGraph) -> list[tuple[int, list]]:
+    """The generic pairs on ``A`` as mask partners ``[(m, [(n, common
+    edges)])]``: each covered-edge mask ``m`` of ``G`` on ``A`` that pairs
+    with some, with the masks ``n`` of ``H`` it pairs with and the edges of
+    ``m & n``.  A structure contracts a set ``S`` of edges and maps the
     ``G``-edges bijectively onto the rest, so a pair covers every edge
-    exactly when ``S_G`` and ``S_H`` are disjoint: an edge outside both is
-    covered, one inside both is missed.  The test therefore runs on the
-    covered-edge masks of the contractions before any structure exists,
-    and only the contractions of ``G`` and of ``H`` that take part in a
-    generic pair have their structures built, once per ``(G, A, mask)``
-    and shared by every partner.
-    """
-    on_G = _on(G, A)
-    if not on_G[2]:
+    exactly when ``S_G`` and ``S_H`` are disjoint: when ``m | n`` is full."""
+    table_G = _on(G, A)[2]
+    if not table_G:
         return []
-    on_H = on_G if H is G else _on(H, A)
-    if not on_H[2]:
-        return []
-    full = (1 << A.n_edges) - 1
-    partners = {}  # G-mask -> the H-masks it pairs with
-    for m in on_G[2]:
-        ns = [n for n in on_H[2] if m | n == full]
+    table_H, full = _on(H, A)[2], (1 << A.n_edges) - 1
+    partners = []
+    for m in table_G:
+        ns = [
+            (n, tuple(e for j, e in enumerate(A.edges) if (m & n) >> j & 1))
+            for n in table_H
+            if m | n == full
+        ]
         if ns:
-            partners[m] = ns
-    if not partners:
-        return []
-    edges = A.edges
-    found = {}  # G-mask -> [(t, common edges)], in the order of the H-structures
-    for m, ns in partners.items():
-        common = {
-            n: tuple(e for j, e in enumerate(edges) if (m & n) >> j & 1) for n in ns
-        }
-        found[m] = [(t, common[n]) for t, n in _in_order(on_H, ns)]
-    pairs = []
-    for s, m in _in_order(on_G, partners):
-        for t, common in found[m]:
-            pairs.append(PairStructure(s, t, common))
-    return pairs
+            partners.append((m, ns))
+    return partners

@@ -21,12 +21,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from strataring.algebra import (
-    FormalSum,
-    multiply,
-    normalize,
-    pair_contributions,
-)
+from strataring.algebra import FormalSum, multiply, normalize
 from strataring.enumeration import decorated_basis, top_degree
 from strataring.grammar import load_sum
 from strataring.integrals import (
@@ -46,6 +41,7 @@ from strataring.pairing import (
     verify_relation,
 )
 from conftest import FIXTURE_SHA256, FIXTURES, dec
+from per_pair import pair_contributions
 
 
 def _report(line: str) -> None:

@@ -5,13 +5,14 @@ from collections import Counter
 from fractions import Fraction
 
 import strataring.algebra as algebra
+import strataring.structures as structures
 from strataring.algebra import (
     DecoratedGraph,
     FormalSum,
     _compositions,
     _expand_structure_raw,
     _generic_pairs_interned,
-    _transport,
+    _key_tally,
     multiply,
 )
 from strataring.enumeration import decorated_basis, top_degree
@@ -24,7 +25,9 @@ from strataring.integrals import (
     integrate_sum,
 )
 from strataring.pairing import integrate_product
+from strataring.structures import PairStructure, enumerate_generic_pairs
 from conftest import dec
+from per_pair import per_pair_tally, transport
 from test_multiply import _products_of_this_file as _products_of_test_multiply
 from test_multiply import _transported_keys
 
@@ -92,7 +95,7 @@ def test_mbar_graphs_paired_under_ct_and_rt_match_multiply_then_integrate():
 def _unmemoized_value(A, pair, x, y, kind) -> Fraction:
     """One structure's contribution expanded on its own and integrated term
     by term, as ``integrate_sum`` would."""
-    base_psi, jobs = _transport(A, pair, x._interned[1], y._interned[1])
+    base_psi, jobs = transport(A, pair, x._interned[1], y._interned[1])
     return sum(
         (
             coeff * integrate_graph(DecoratedGraph(A, psi, kappa), kind)
@@ -136,7 +139,7 @@ def _keyed_cases():
 
 def test_keyed_values_match_the_unmemoized_expansion(monkeypatch):
     cases = _keyed_cases()
-    structures = []  # (x, y, kind, carrier, pair)
+    fed_pairs = []  # (x, y, kind, carrier, pair)
     multi_vertex_fibres = 0
     keys_by_psi: dict[tuple, set] = {}  # (carrier, psi, kappa) -> common edges
     for x, y, space in cases:
@@ -144,26 +147,33 @@ def test_keyed_values_match_the_unmemoized_expansion(monkeypatch):
         RG, decoG = x._interned
         RH, decoH = y._interned
         total = Fraction(0)
-        for A, pairs in _generic_pairs_interned(RG, RH):
+        for A, pairs in enumerate_generic_pairs(RG, RH):
             # every carrier of two graphs of a space lies in that space
             assert hodge_split(A, kind) is not None
             for pair in pairs:
-                structures.append((x, y, kind, A, pair))
+                fed_pairs.append((x, y, kind, A, pair))
                 total += _unmemoized_value(A, pair, x, y, kind) / A.aut_order
-                psi, jobs = _transport(A, pair, decoG, decoH)
+                psi, jobs = transport(A, pair, decoG, decoH)
                 multi_vertex_fibres += any(len(fibre) > 1 for fibre, _, _ in jobs)
                 keys_by_psi.setdefault((id(A), psi, tuple(sorted(jobs))), set()).add(
                     pair.common_edges
                 )
         # all structures at once: counted per value key, not one by one
         assert integrate_product(FormalSum.unit(x), FormalSum.unit(y), kind) == total
+    # one pair at a time: its carrier, and the pair's own tally in place
+    # of the side tallies
     fed = []
     monkeypatch.setattr(algebra, "_generic_pairs_interned", lambda RG, RH: fed)
-    for x, y, kind, A, pair in structures:
-        fed[:] = [(A, [pair])]
+    monkeypatch.setattr(
+        algebra,
+        "_key_tally",
+        lambda A, pair, RG, decoG, RH, decoH, degrees: per_pair_tally(A, [pair], decoG, decoH),
+    )
+    for x, y, kind, A, pair in fed_pairs:
+        fed[:] = [(A, pair)]
         value = integrate_product(FormalSum.unit(x), FormalSum.unit(y), kind)
         assert value * A.aut_order == _unmemoized_value(A, pair, x, y, kind)
-    assert len(structures) > 1000 and multi_vertex_fibres > 0
+    assert len(fed_pairs) > 1000 and multi_vertex_fibres > 0
     assert any(len(common) > 1 for common in keys_by_psi.values())
 
 
@@ -301,3 +311,65 @@ def test_targeted_expansion_is_the_full_expansion_filtered_to_the_target_degrees
             if kind is EvaluationKind.lambda_g_lambda_g_minus_1 and targeted:
                 seen["genus-0 vertex under rt"] += 0 in A.genera
     assert len(seen) == 4 and min(seen.values()) > 0, seen
+
+
+def _overshoots(A, psi, degrees) -> bool:
+    return any(d > t for d, t in zip(_vertex_degrees(A, psi, [()] * A.n_vertices), degrees))
+
+
+def test_side_tallies_count_the_pairs_of_every_carrier(fixtures_dir):
+    # every term pair of the products of this file and of test_multiply.py
+    products = _products_of_this_file(fixtures_dir)
+    products += _products_of_test_multiply(fixtures_dir)
+    term_pairs = {
+        (dG.canonical_key, dH.canonical_key): (dG, dH)
+        for x, y in products
+        for _, dG in x.terms.values()
+        for _, dH in y.terms.values()
+    }
+    seen = Counter()
+    for dG, dH in term_pairs.values():
+        RG, decoG = dG._interned
+        RH, decoH = dH._interned
+        carriers = _generic_pairs_interned(RG, RH)
+        listed = enumerate_generic_pairs(RG, RH)
+        assert [A for A, _ in carriers] == [A for A, _ in listed]
+        for (A, partners), (_, pairs) in zip(carriers, listed):
+            want = per_pair_tally(A, pairs, decoG, decoH)
+            # counts, jobs and the order of first occurrence
+            assert list(_key_tally(A, partners, RG, decoG, RH, decoH).items()) == list(
+                want.items()
+            ), (dG, dH, A)
+            seen["combined groups"] += len(want) < len(pairs)
+            for kind in EvaluationKind:
+                split = hodge_split(A, kind)
+                if split is None:
+                    continue
+                degrees = [top for _, _, top in split]
+                pruned = _key_tally(A, partners, RG, decoG, RH, decoH, degrees)
+                # the pruning drops only keys whose psi overshoots; the others
+                # keep their counts, jobs and order
+                assert [
+                    item for item in pruned.items() if not _overshoots(A, item[0][0], degrees)
+                ] == [item for item in want.items() if not _overshoots(A, item[0][0], degrees)]
+                assert set(pruned) <= set(want)
+                seen["pruned"] += len(pruned) < len(want)
+    assert len(seen) == 2 and min(seen.values()) > 0, seen
+
+
+def test_products_build_no_pair_structure(fixtures_dir, monkeypatch):
+    monkeypatch.setattr(algebra, "_pair_cache", {})
+    monkeypatch.setattr(structures, "_structure_cache", {})
+    built = []
+    init = PairStructure.__init__
+    monkeypatch.setattr(PairStructure, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    g = load_sum(str(fixtures_dir / "worked_product_g.sum"))
+    h = load_sum(str(fixtures_dir / "worked_product_h.sum"))
+    relation, samples = _genus_four_samples(fixtures_dir)
+    assert len(multiply(g, h)) == 7
+    assert integrate_product(relation, samples[0], "fundamental") == 0
+    assert integrate_product(g, h, "fundamental") != 0
+    assert built == []
+    # the same graphs do carry pairs, which the public listing builds
+    dG, dH = (next(iter(s.terms.values()))[1] for s in (g, h))
+    assert enumerate_generic_pairs(dG.graph, dH.graph) and built

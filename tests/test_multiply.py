@@ -7,15 +7,14 @@ from strataring.algebra import (
     FormalSum,
     _compositions,
     _expand_structure_raw,
-    _generic_pairs_interned,
     _multinomial,
-    _transport,
     multiply,
-    pair_contributions,
 )
 from strataring.enumeration import decorated_basis
 from strataring.grammar import load_sum, sum_to_text
+from strataring.structures import enumerate_generic_pairs
 from conftest import dec
+from per_pair import pair_contributions, transport
 
 
 def _per_structure_product(x: FormalSum, y: FormalSum) -> FormalSum:
@@ -36,9 +35,9 @@ def _transported_keys(x: FormalSum, y: FormalSum):
         RG, decoG = dG._interned
         for _, dH in y.terms.values():
             RH, decoH = dH._interned
-            for A, pairs in _generic_pairs_interned(RG, RH):
+            for A, pairs in enumerate_generic_pairs(RG, RH):
                 for pair in pairs:
-                    psi, jobs = _transport(A, pair, decoG, decoH)
+                    psi, jobs = transport(A, pair, decoG, decoH)
                     yield A, psi, jobs, pair.common_edges
 
 

@@ -14,6 +14,7 @@ from strataring.structures import (
     GStructure,
     LabelMismatch,
     PairStructure,
+    _pairs_from,
     _pairs_on,
     enumerate_g_structures,
     enumerate_generic_pairs,
@@ -97,11 +98,17 @@ def test_pair_symmetry_and_free_action():
         assert common == sorted(len(p.common_edges) for p in mirror[A.canonical_key])
 
 
+def _pair_list(G, H, A):
+    """The pair structures on ``A``, built from the mask partners."""
+    partners = _pairs_on(G, H, A)
+    return _pairs_from(G, H, A, partners) if partners else []
+
+
 def _pairs_over_every_graph(G, H):
     out = []
     for e in range(max(G.n_edges, H.n_edges), G.n_edges + H.n_edges + 1):
         for A in stable_graphs(G.genus, G.n_legs, e):
-            pairs = _pairs_on(G, H, A)
+            pairs = _pair_list(G, H, A)
             if pairs:
                 out.append((A.canonical_key, len(pairs)))
     return out
@@ -146,7 +153,7 @@ def test_carriers_match_a_scan_over_every_graph_in_the_edge_range(g, n, max_edge
             want = []
             for e in range(max(G.n_edges, H.n_edges), G.n_edges + H.n_edges + 1):
                 for A in stable_graphs(g, n, e, space):
-                    pairs = _pairs_on(G, H, A)
+                    pairs = _pair_list(G, H, A)
                     if pairs:
                         want.append((A, pairs))
             got = enumerate_generic_pairs(G, H)
@@ -376,7 +383,9 @@ def test_pairs_match_the_search_over_every_structure(g, n, space, max_edges):
             for e in range(max(G.n_edges, H.n_edges), G.n_edges + H.n_edges + 1):
                 for A in carriers[e]:
                     want = _reference_pairs_on(G, H, A, structures_of)
-                    assert data(_pairs_on(G, H, A)) == data(want), (G, H, A)
+                    assert data(_pair_list(G, H, A)) == data(want), (G, H, A)
+                    # mask partners exactly on the carriers with a pair
+                    assert bool(_pairs_on(G, H, A)) == bool(want)
 
 
 @pytest.mark.parametrize("flip", [False, True])
