@@ -38,7 +38,7 @@ from operator import add, gt, itemgetter
 
 from . import canon
 from .graphs import GraphError, StableGraph, intern
-from .structures import _contraction, _generic_carriers
+from .structures import _generic_carriers, _on
 
 
 class SpaceMismatch(ValueError):
@@ -405,30 +405,62 @@ def _side_groups(R: StableGraph, A: StableGraph, masks, deco, degrees=None) -> d
     jobs)]}``.  ``first``, ``(sort key, index)`` of the first structure,
     orders all masks' structures as ``enumerate_generic_pairs`` does: sort
     keys tie only within one contraction.  Groups whose psi exceeds
-    ``degrees`` are dropped."""
+    ``degrees`` are dropped.
+
+    A psi exponent on a leg stays on the leg of its label; one on an edge
+    half moves to the half-edge of ``A`` that the edge code in the
+    structure's key names (see ``structures._Entry``).  A kappa job takes
+    its fibre from the structure's fibres."""
     psi_items, kappa_items = deco
+    entry = _on(R, A)
+    if not psi_items and not kappa_items:  # one group per mask, which fits any degrees
+        blank = (0,) * A.n_halfedges
+        out = {}
+        for m in masks:
+            c = entry.built(m)
+            out[m] = [((c.keys[0], 0), len(c.keys), blank, ())]
+        return out
+    where, low, halves = entry.where, entry.low, entry.halves
+    vertex_of = A.vertex_of
+    base = [0] * len(vertex_of)
+    # the load of the legs' psi on each vertex, if groups are to be checked
+    fixed_load = [0] * len(degrees) if degrees is not None and psi_items else None
+    moving = []  # (shift, side, exponent) of the psi on edge halves
+    for h, e in psi_items:
+        w = where[h]
+        if w < 0:
+            base[~w] += e
+            if fixed_load is not None:
+                fixed_load[vertex_of[~w]] += e
+        else:
+            moving.append((w >> 1, w & 1, e))
+    fixed_psi = tuple(base)
     out = {}
     for m in masks:
-        c = _contraction(R, A, m)
-        if not psi_items and not kappa_items:  # one group, which fits any degrees
-            out[m] = [((c.keys[0], 0), len(c.structures), (0,) * A.n_halfedges, ())]
-            continue
+        c = entry.built(m)
         groups = {}
-        for i, s in enumerate(c.structures):
-            psi = [0] * A.n_halfedges
-            for h, e in psi_items:
-                psi[s.beta[h]] += e
-            jobs = tuple(
-                (tuple(x for x, w in enumerate(s.alpha) if w == u), j, f) for u, j, f in kappa_items
-            )
-            groups.setdefault((tuple(psi), jobs), [(c.keys[i], i), 0])[1] += 1
+        last = None
+        psi, jobs = fixed_psi, ()
+        for i, (key, fibres) in enumerate(zip(c.keys, c.fibres)):
+            if moving:
+                psi = base.copy()
+                for shift, side, e in moving:
+                    psi[halves[(key >> shift & low) ^ side]] += e
+                psi = tuple(psi)
+            if kappa_items and fibres is not last:
+                last = fibres
+                jobs = tuple((fibres[u], j, f) for u, j, f in kappa_items)
+            group = groups.get((psi, jobs))
+            if group is None:
+                groups[psi, jobs] = [(key, i), 1]
+            else:
+                group[1] += 1
         out[m] = kept = []
         for (psi, jobs), (first, count) in groups.items():
-            if degrees is not None and psi_items:
-                load = [0] * len(degrees)
-                beta = c.structures[first[1]].beta
-                for h, e in psi_items:
-                    load[A.vertex_of[beta[h]]] += e
+            if fixed_load is not None:
+                load = fixed_load.copy()
+                for shift, side, e in moving:
+                    load[vertex_of[halves[(first[0] >> shift & low) ^ side]]] += e
                 if any(map(gt, load, degrees)):
                     continue
             kept.append((first, count, psi, jobs))

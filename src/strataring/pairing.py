@@ -4,7 +4,9 @@ The Gram matrix pairs the spanning set in codimension ``k`` against the
 one in complementary codimension through the evaluation class of the
 chosen space.  Ranks and kernels come from one fraction-free (Bareiss)
 Gauss-Jordan elimination over the integers, after clearing denominators
-row by row.
+row by row.  :func:`gram`, :func:`rank_table` and :func:`verify_relation`
+empty the memo stores of layers 2 and 3 when they return
+(:mod:`strataring.stores`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,20 @@ from .algebra import (
 )
 from .enumeration import decorated_basis, space_admits, top_degree
 from .integrals import evaluation_kind, hodge_split, kappa_reduce
+from .stores import clearing
+
+# (id(carrier), evaluation kind) -> (carrier, its hodge_split); holding the
+# carrier keeps its id from being reused while the entry lives
+_split_cache: dict[tuple, tuple] = {}
+
+
+def _carrier_split(A, kind):
+    """``hodge_split(A, kind)``, taken once per carrier and kind."""
+    key = (id(A), kind)
+    hit = _split_cache.get(key)
+    if hit is None:
+        hit = _split_cache[key] = (A, hodge_split(A, kind))
+    return hit[1]
 
 
 def integrate_product(x: FormalSum, y: FormalSum, kind) -> Fraction:
@@ -35,7 +51,8 @@ def integrate_product(x: FormalSum, y: FormalSum, kind) -> Fraction:
     and each distinct raw decoration is integrated once, vertex by
     vertex.  The pipeline builds only the raw terms whose decoration at
     every vertex has the top degree that ``hodge_split`` gives it, taken
-    once per carrier, since no other term integrates to a nonzero value;
+    once per carrier and kind (:func:`_carrier_split`), since no other
+    term integrates to a nonzero value;
     the same split then names the class each vertex is integrated
     against.  Only the term pairs of complementary codimension whose
     graphs the space of ``kind`` admits are fed to it: ct and rt graphs
@@ -55,15 +72,13 @@ def integrate_product(x: FormalSum, y: FormalSum, kind) -> Fraction:
     term_pairs = (
         (cG * cH, dG, dH) for cG, dG in xs for cH, dH in ys if dG.codim + dH.codim == top
     )
-    splits = {}  # id(carrier) -> its hodge_split, taken once per carrier
 
     def top_degrees(A):
-        splits[id(A)] = split = hodge_split(A, kind)
-        return [vtop for _, _, vtop in split]
+        return [vtop for _, _, vtop in _carrier_split(A, kind)]
 
     total = Fraction(0)
     for A, raw in _product_terms(term_pairs, top_degrees):
-        split = splits.pop(id(A))
+        split = _carrier_split(A, kind)
         halfedges_at = A.halfedges_at
         for (psi, kappa), value in raw.items():
             for v, (gv, vkind, _) in enumerate(split):
@@ -104,6 +119,7 @@ def pairing_value(a: DecoratedGraph, b: DecoratedGraph, space: str) -> Fraction:
 GRAM_WARN_PAIRINGS = 50_000
 
 
+@clearing
 def gram(g: int, n: int, k: int, space: str) -> GramMatrix:
     """Exact pairing matrix of the codimension-``k`` spanning set against
     the complementary one.  In the middle codimension the rows are the
@@ -221,6 +237,7 @@ def null_space(entries) -> list[list[Fraction]]:
     return basis
 
 
+@clearing
 def rank_table(g: int, n: int, space: str) -> list[int]:
     """Pairing rank in every codimension ``0..top``; symmetric halves are
     computed once (the two Gram matrices are transposes).  An unstable
@@ -252,6 +269,7 @@ class RelationReport:
         return [(d, v) for d, v in self.pairings if v != 0]
 
 
+@clearing
 def verify_relation(r: FormalSum, g: int, n: int, space: str) -> RelationReport:
     """Pair a homogeneous candidate relation against the complementary
     spanning set; it passes iff every pairing is exactly zero."""

@@ -27,6 +27,17 @@ them side by side, and :func:`enumerate_generic_pairs` lists the pairs.
 The carriers tried are the graphs that contract onto both ``G`` and
 ``H``, read from the refinement relation that the graph sweep keeps.
 
+The engine keeps structures in a compact form (:class:`_Entry`): per
+contraction, the sorted int keys that pack one code ``2 * A-edge +
+flipped`` per ``G``-edge, and per structure its fibres, the tuple of
+``A``-vertices over each ``G``-vertex, shared by the structures of one
+fibre match.  The keys and fibres determine ``beta`` and ``alpha``.
+:class:`GStructure` and :class:`PairStructure` objects are built from
+them only by the public :func:`enumerate_g_structures` and
+:func:`enumerate_generic_pairs`.  The stores of this module belong to
+:mod:`strataring.stores`, which empties them when a Gram fill, a rank
+table or a relation check returns.
+
 Structures are enumerated raw (no quotient by ``Aut(A)``); the action of
 ``Aut(A)`` on generic pair structures is free, a fact the multiplication
 routine relies on.
@@ -34,6 +45,7 @@ routine relies on.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations, product
 from operator import itemgetter
@@ -51,7 +63,9 @@ class GenusMismatch(ValueError):
 
 @dataclass(frozen=True)
 class GStructure:
-    """One identification of ``A`` as a specialization of ``G``."""
+    """One identification of ``A`` as a specialization of ``G``, as the
+    public listings give it.  The engine never builds one: it keeps each
+    structure as an edge-code key and its fibres (see :class:`_Entry`)."""
 
     alpha: tuple[int, ...]  # A-vertex -> G-vertex
     beta: dict[int, int]  # G-half-edge -> A-half-edge
@@ -79,8 +93,9 @@ def enumerate_g_structures(G: StableGraph, A: StableGraph) -> list[GStructure]:
     orientation)`` per ``G``-edge; ``beta`` lists the legs, then the
     ``G``-edges in order."""
     _check_compatible(G, A)
-    entry = (G, A, _fibre_pass(G, A))
-    return [s for s, _ in _in_order(entry, entry[2])]
+    entry = _Entry(G, A, _fibre_pass(G, A))
+    built = {m: entry.g_structures(m) for m in entry.contractions}
+    return [s for s, _ in _in_order(built, built)]
 
 
 def _fibre_pass(G: StableGraph, A: StableGraph) -> dict[int, _Contraction]:
@@ -132,22 +147,27 @@ def _fibre_pass(G: StableGraph, A: StableGraph) -> dict[int, _Contraction]:
 
 def _build(G: StableGraph, A: StableGraph, record, matches) -> tuple[list, list]:
     """The structures of one contraction ``record`` of ``A`` with the given
-    fibre matches, sorted, with their sort keys.  A structure has one code
-    ``2 * A-edge + flipped`` per ``G``-edge; its key packs the codes into
-    one int, first code highest, so that keys order like code tuples.
-    Structures with equal codes come from one contraction and are ordered
-    by ``alpha``.
+    fibre matches, sorted, as their keys and their fibres.  A structure has
+    one code ``2 * A-edge + flipped`` per ``G``-edge; its key packs the
+    codes into one int, first code highest, so that keys order like code
+    tuples.  Structures with equal codes come from one contraction and are
+    ordered by ``alpha``.  The fibres of a structure, the tuple of
+    ``A``-vertices over each ``G``-vertex, say what ``alpha`` says; the
+    structures of one match share them.
 
     Each match gives the product of the edge bijections within the vertex
     pairs: an edge between two vertices has one orientation, a loop or an
     edge inside one fibre two.
     """
     comp, _, covered, ends, _ = record
-    G_edges, A_edges = G.edges, A.edges
-    eG = len(G_edges)
+    eG = G.n_edges
     ends_G = _edge_ends(G)
     one_edge_per_pair = len({(u, w) if u <= w else (w, u) for u, w in ends_G}) == eG
-    width = (2 * len(A_edges)).bit_length()
+    width = _code_width(A)
+    members = [[] for _ in matches[0]]  # the A-vertices of each fibre
+    for x, c in enumerate(comp):
+        members[c].append(x)
+    members = [tuple(xs) for xs in members]
     found = []
     for match in matches:
         # the covered A-edges each G-edge can go to, as codes
@@ -164,45 +184,107 @@ def _build(G: StableGraph, A: StableGraph, record, matches) -> tuple[list, list]
                     opts.append(2 * j + 1)
             options.append(opts)
         alpha = tuple(match[c] for c in comp)
+        fibres = [()] * len(match)
+        for c, w in enumerate(match):
+            fibres[w] = members[c]
+        fibres = tuple(fibres)
         for codes in product(*options):
             # G-edges joining one vertex pair share their options
             if one_edge_per_pair or len({code >> 1 for code in codes}) == eG:
                 key = 0
                 for code in codes:
                     key = key << width | code
-                found.append((key, alpha, codes))
+                found.append((key, alpha, fibres))
     found.sort()
+    keys = [key for key, _, _ in found]
+    try:
+        keys = array("Q", keys)  # 8 bytes a key, when every key fits
+    except OverflowError:
+        pass
+    return keys, [fibres for _, _, fibres in found]
 
-    beta0 = {hG: A.leg_of_label[label] for label, hG in G.legs}
-    halves = frozenset(h for j in covered for h in A_edges[j])
-    oriented = []
-    for k1, k2 in A_edges:
-        oriented.append((k1, k2))
-        oriented.append((k2, k1))
-    edge_halves_G = [h for edge in G_edges for h in edge]
-    structures = []
-    for _, alpha, codes in found:
-        beta = dict(beta0)
-        beta.update(zip(edge_halves_G, chain.from_iterable(map(oriented.__getitem__, codes))))
-        structures.append(GStructure(alpha, beta, halves))
-    return [key for key, _, _ in found], structures
+
+def _code_width(A: StableGraph) -> int:
+    """The bits of one edge code ``2 * A-edge + flipped`` in a key."""
+    return (2 * A.n_edges).bit_length()
 
 
 class _Contraction:
     """A contraction of ``A`` that carries structures of ``G``: its record
     from :func:`_contractions` and its fibre matches until the structures
-    are built, then the structures and their sort keys."""
+    are built, then the sorted keys and the fibres of the structures (see
+    :func:`_build`)."""
 
-    __slots__ = ("record", "matches", "keys", "structures")
+    __slots__ = ("record", "matches", "keys", "fibres")
 
     def __init__(self, record: tuple, matches: list):
         self.record, self.matches = record, matches
-        self.keys = self.structures = None
+        self.keys = self.fibres = None
 
-    def build(self, G: StableGraph, A: StableGraph) -> None:
-        if self.structures is None:
-            self.keys, self.structures = _build(G, A, self.record, self.matches)
-            self.record = self.matches = None
+
+class _Entry:
+    """The structures of ``G`` on ``A``: the contractions that carry them,
+    keyed by covered mask (:func:`_fibre_pass`), each built on first use,
+    and where a structure sends each half-edge of ``G``.
+
+    ``where[h]`` is one small int.  For a leg it is ``~x``: the leg goes to
+    the ``A``-leg ``x`` of its label.  For a half of a ``G``-edge it is
+    ``shift << 1 | side``, ``side`` 0 for the edge's first half: the edge's
+    code is ``key >> shift & low``, and the ``A``-half-edge it sends ``h``
+    to is ``halves[code ^ side]``, ``halves`` being the half-edges of the
+    edges of ``A`` in order."""
+
+    __slots__ = ("G", "A", "contractions", "where", "low", "halves")
+
+    def __init__(self, G: StableGraph, A: StableGraph, contractions: dict):
+        self.G, self.A, self.contractions = G, A, contractions
+        if not contractions:
+            self.where = self.low = self.halves = None
+            return
+        width = _code_width(A)
+        where = [0] * G.n_halfedges
+        for label, h in G.legs:
+            where[h] = ~A.leg_of_label[label]
+        last = G.n_edges - 1
+        for i, (h1, h2) in enumerate(G.edges):
+            where[h1] = width * (last - i) << 1
+            where[h2] = width * (last - i) << 1 | 1
+        self.where = tuple(where)
+        self.low = (1 << width) - 1
+        self.halves = tuple(h for edge in A.edges for h in edge)
+
+    def built(self, m: int) -> _Contraction:
+        """The contraction with covered mask ``m``, its structures built."""
+        c = self.contractions[m]
+        if c.keys is None:
+            c.keys, c.fibres = _build(self.G, self.A, c.record, c.matches)
+            c.record = c.matches = None
+        return c
+
+    def g_structures(self, m: int) -> list[tuple[int, GStructure]]:
+        """``(key, structure)`` for each structure of the contraction ``m``,
+        in order, as :class:`GStructure` objects: ``beta`` lists the legs,
+        then the halves of the ``G``-edges in order."""
+        c = self.built(m)
+        G, where, low, halves = self.G, self.where, self.low, self.halves
+        order = [h for _, h in G.legs] + [h for edge in G.edges for h in edge]
+        edge_halves = frozenset(h for j, edge in enumerate(self.A.edges) if m >> j & 1 for h in edge)
+        out = []
+        last = None
+        for key, fibres in zip(c.keys, c.fibres):
+            if fibres is not last:
+                last = fibres
+                alpha = [0] * self.A.n_vertices
+                for w, fibre in enumerate(fibres):
+                    for x in fibre:
+                        alpha[x] = w
+                alpha = tuple(alpha)
+            beta = {}
+            for h in order:
+                w = where[h]
+                beta[h] = ~w if w < 0 else halves[(key >> (w >> 1) & low) ^ (w & 1)]
+            out.append((key, GStructure(alpha, beta, edge_halves)))
+        return out
 
 
 def _edge_ends(G: StableGraph) -> list[tuple[int, int]]:
@@ -264,7 +346,8 @@ def _contractions(A: StableGraph, d: int) -> dict[tuple, list[tuple]]:
     signatures of its fibres (see :func:`_vertex_signatures`).  Each is
     ``(fibre of each A-vertex, fibre signatures, covered A-edges, fibres at
     the ends of each covered edge, mask of the covered A-edges)``, in
-    ``itertools.combinations`` order of the contracted edges."""
+    ``itertools.combinations`` order of the contracted edges.  Equal tuples
+    within the table are one object."""
     key = (A.genera, A.vertex_of, A.partner, d)
     table = _contraction_cache.get(key)
     if table is not None:
@@ -273,6 +356,7 @@ def _contractions(A: StableGraph, d: int) -> dict[tuple, list[tuple]]:
     ends_A = [(A.vertex_of[h1], A.vertex_of[h2]) for h1, h2 in A.edges]
     genera_A = A.genera
     table = {}
+    shared: dict[tuple, tuple] = {}
     for S in combinations(range(eA), d):
         parent = list(range(nA))
         for j in S:
@@ -300,10 +384,14 @@ def _contractions(A: StableGraph, d: int) -> dict[tuple, list[tuple]]:
             fibre_genera[comp[ends_A[j][0]]] += 1
         contracted = set(S)
         covered = tuple(j for j in range(eA) if j not in contracted)
-        ends = tuple((comp[ends_A[j][0]], comp[ends_A[j][1]]) for j in covered)
-        sigs = tuple(_vertex_signatures(fibre_genera, ends))
+        ends = []
+        for j in covered:
+            pair = (comp[ends_A[j][0]], comp[ends_A[j][1]])
+            ends.append(shared.setdefault(pair, pair))
+        sigs = [shared.setdefault(sig, sig) for sig in _vertex_signatures(fibre_genera, ends)]
+        comp, ends, sigs = (shared.setdefault(t, t) for t in map(tuple, (comp, ends, sigs)))
         mask = sum(1 << j for j in covered)
-        table.setdefault(tuple(sorted(sigs)), []).append((tuple(comp), sigs, covered, ends, mask))
+        table.setdefault(tuple(sorted(sigs)), []).append((comp, sigs, covered, ends, mask))
     _contraction_cache[key] = table
     return table
 
@@ -322,13 +410,21 @@ def enumerate_generic_pairs(
 
 def _pairs_from(G: StableGraph, H: StableGraph, A: StableGraph, partners) -> list[PairStructure]:
     """The pair structures on ``A`` that the mask partners of :func:`_pairs_on`
-    stand for, in the order of the structures of ``G``, then of ``H``."""
-    on_H = _on(H, A)
+    stand for, in the order of the structures of ``G``, then of ``H``.  Each
+    structure is built once, and shared by the pairs it lies in."""
+    on_G, on_H = _on(G, A), _on(H, A)
+    built_G: dict[int, list] = {}
+    built_H = built_G if on_H is on_G else {}
     found = {}  # G-mask -> [(t, common edges)], in the order of the H-structures
     for m, ns in partners:
         common = dict(ns)
-        found[m] = [(t, common[n]) for t, n in _in_order(on_H, common)]
-    return [PairStructure(s, t, c) for s, m in _in_order(_on(G, A), found) for t, c in found[m]]
+        for n in common:
+            if n not in built_H:
+                built_H[n] = on_H.g_structures(n)
+        found[m] = [(t, common[n]) for t, n in _in_order(built_H, common)]
+        if m not in built_G:
+            built_G[m] = on_G.g_structures(m)
+    return [PairStructure(s, t, c) for s, m in _in_order(built_G, found) for t, c in found[m]]
 
 
 def _generic_carriers(G: StableGraph, H: StableGraph) -> list[tuple[StableGraph, list]]:
@@ -371,36 +467,23 @@ def _generic_carriers(G: StableGraph, H: StableGraph) -> list[tuple[StableGraph,
 
 # keyed by object identity: callers pass interned representatives and the
 # memoized generator's instances, both of which live for the process.
-# Each entry is (G, A, the result of _fibre_pass(G, A)).
-_structure_cache: dict[tuple[int, int], tuple] = {}
+# Each entry is the _Entry of (G, A), which holds both graphs.
+_structure_cache: dict[tuple[int, int], _Entry] = {}
 
 
-def _on(G: StableGraph, A: StableGraph) -> tuple:
+def _on(G: StableGraph, A: StableGraph) -> _Entry:
     key = (id(G), id(A))
     hit = _structure_cache.get(key)
     if hit is None:
-        hit = _structure_cache[key] = (G, A, _fibre_pass(G, A))
+        hit = _structure_cache[key] = _Entry(G, A, _fibre_pass(G, A))
     return hit
 
 
-def _contraction(G: StableGraph, A: StableGraph, m: int) -> _Contraction:
-    """The contraction onto ``G`` with covered mask ``m``, its structures built."""
-    c = _on(G, A)[2][m]
-    c.build(G, A)
-    return c
-
-
-def _in_order(entry: tuple, masks) -> list[tuple]:
+def _in_order(built: dict, masks) -> list[tuple[GStructure, int]]:
     """``(structure, mask)`` for each structure of the contractions
-    ``masks`` of an entry ``(G, A, contractions by mask)``, in the order of
-    their sort keys; a contraction builds its structures on first use."""
-    G, A, table = entry
-    for m in masks:
-        table[m].build(G, A)
-    merged = sorted(
-        ((k, s, m) for m in masks for k, s in zip(table[m].keys, table[m].structures)),
-        key=itemgetter(0),
-    )
+    ``masks``, given as ``{mask: [(key, structure)]}``
+    (:meth:`_Entry.g_structures`), in the order of their keys."""
+    merged = sorted(((k, s, m) for m in masks for k, s in built[m]), key=itemgetter(0))
     return [(s, m) for _, s, m in merged]
 
 
@@ -411,10 +494,10 @@ def _pairs_on(G: StableGraph, H: StableGraph, A: StableGraph) -> list[tuple[int,
     ``m & n``.  A structure contracts a set ``S`` of edges and maps the
     ``G``-edges bijectively onto the rest, so a pair covers every edge
     exactly when ``S_G`` and ``S_H`` are disjoint: when ``m | n`` is full."""
-    table_G = _on(G, A)[2]
+    table_G = _on(G, A).contractions
     if not table_G:
         return []
-    table_H, full = _on(H, A)[2], (1 << A.n_edges) - 1
+    table_H, full = _on(H, A).contractions, (1 << A.n_edges) - 1
     partners = []
     for m in table_G:
         ns = [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -99,3 +100,29 @@ def test_genus_four_rank_table():
     # Pic(M_4-bar) (x) Q has the basis lambda, delta_irr, delta_1, delta_2
     # (Arbarello-Cornalba 1998)
     assert ranks[1] == 4
+
+
+def _divisor_count(g: int, n: int) -> int:
+    """The rank of H^2(M_{g,n}-bar, Q) for g >= 3: Arbarello and Cornalba
+    (Publ. Math. IHES 88, 1998) show that it is freely
+    generated by lambda, psi_1..psi_n, delta_irr and one delta_{h,S} per
+    unordered splitting {(h, S), (g - h, S^c)} of the genus and the legs
+    whose two sides, each with the node as one more point, are stable."""
+    assert g >= 3
+    splittings = set()
+    for h in range(g + 1):
+        for size in range(n + 1):
+            for S in combinations(range(1, n + 1), size):
+                rest = tuple(i for i in range(1, n + 1) if i not in S)
+                if 2 * h - 1 + len(S) > 0 and 2 * (g - h) - 1 + len(rest) > 0:
+                    splittings.add(frozenset({(h, S), (g - h, rest)}))
+    return 1 + n + 1 + len(splittings)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_genus_three_degree_one_ranks_are_the_divisor_counts(n):
+    # the degree-1 pairing rank is at most the rank of H^2, with equality
+    # when the one-dimensional boundary strata, which are tautological,
+    # detect every divisor class; the rank reaches the count
+    assert _divisor_count(3, n) == (3, 5)[n]
+    assert rank_table(3, n, "mbar")[1] == _divisor_count(3, n)

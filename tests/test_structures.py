@@ -1,14 +1,24 @@
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_pair
 from strataring import structures
-from strataring.enumeration import common_refinements, space_admits, stable_graphs
+from strataring.algebra import _side_groups
+from strataring.enumeration import (
+    common_refinements,
+    decorated_basis,
+    space_admits,
+    stable_graphs,
+    top_degree,
+)
 from strataring.graphs import build_graph
+from strataring.integrals import EvaluationKind, hodge_split
 from strataring.structures import (
     GenusMismatch,
     GStructure,
@@ -339,6 +349,18 @@ def _reference_pairs_on(G, H, A, structures_of):
     return pairs
 
 
+def _pairs_data(pairs):
+    """``_as_data`` of both sides of each pair, with its common edges.  The
+    pairs of one listing share their structures, which the list keeps
+    alive, so each is converted once, by identity."""
+    converted = {}
+    for p in pairs:
+        for s in (p.left, p.right):
+            if id(s) not in converted:
+                converted[id(s)] = _as_data([s])[0]
+    return [(converted[id(p.left)], converted[id(p.right)], p.common_edges) for p in pairs]
+
+
 def _half_mask(halves):
     out = 0
     for h in halves:
@@ -346,22 +368,23 @@ def _half_mask(halves):
     return out
 
 
-@pytest.mark.parametrize(
-    "g,n,space,max_edges",
-    [
-        (0, 5, "mbar", 2),
-        (1, 3, "mbar", 3),
-        (2, 1, "mbar", 4),
-        (2, 2, "mbar", 3),
-        (3, 0, "mbar", 4),
-        (3, 1, "ct", 4),
-        (3, 1, "rt", 0),
-    ],
-)
+# the spaces and edge ranges of the pair-search comparisons
+_PAIR_SEARCH_INPUTS = [
+    (0, 5, "mbar", 2),
+    (1, 3, "mbar", 3),
+    (2, 1, "mbar", 4),
+    (2, 2, "mbar", 3),
+    (3, 0, "mbar", 4),
+    (3, 1, "ct", 4),
+    (3, 1, "rt", 0),
+]
+
+
+@pytest.mark.parametrize("g,n,space,max_edges", _PAIR_SEARCH_INPUTS)
 def test_pairs_match_the_search_over_every_structure(g, n, space, max_edges):
     graphs = [G for e in range(max_edges + 1) for G in stable_graphs(g, n, e, space)]
     carriers = {e: stable_graphs(g, n, e) for e in range(2 * max_edges + 1)}
-    memo, seen = {}, {}
+    memo = {}
 
     def structures_of(G, A):
         key = (id(G), id(A))
@@ -369,46 +392,122 @@ def test_pairs_match_the_search_over_every_structure(g, n, space, max_edges):
             memo[key] = enumerate_g_structures(G, A)
         return memo[key]
 
-    def data(pairs):
-        # structures are shared between pairs and kept alive by the caches,
-        # so each is converted once, by identity
-        for p in pairs:
-            for s in (p.left, p.right):
-                if id(s) not in seen:
-                    seen[id(s)] = _as_data([s])[0]
-        return [(seen[id(p.left)], seen[id(p.right)], p.common_edges) for p in pairs]
-
     for G in graphs:
         for H in graphs:
             for e in range(max(G.n_edges, H.n_edges), G.n_edges + H.n_edges + 1):
                 for A in carriers[e]:
                     want = _reference_pairs_on(G, H, A, structures_of)
-                    assert data(_pair_list(G, H, A)) == data(want), (G, H, A)
+                    assert _pairs_data(_pair_list(G, H, A)) == _pairs_data(want), (G, H, A)
                     # mask partners exactly on the carriers with a pair
                     assert bool(_pairs_on(G, H, A)) == bool(want)
+
+
+@pytest.mark.parametrize("g,n,space,max_edges", _PAIR_SEARCH_INPUTS)
+def test_compact_structures_match_the_beta_reference(g, n, space, max_edges):
+    # the public listings, built from edge codes and fibres, equal the
+    # structures built with a beta dict straight from the fibre matches:
+    # alpha, the order of the beta items, the edge halves, the pair order
+    # and the common edges
+    graphs = [G for e in range(max_edges + 1) for G in stable_graphs(g, n, e, space)]
+    memo = {}
+
+    def by_mask(R, A):
+        key = (id(R), id(A))  # both graphs live for the process
+        if key not in memo:
+            memo[key] = per_pair.structures_by_mask(R, A)
+            # the listing of one graph on a carrier, beta order included
+            assert _as_data(enumerate_g_structures(R, A)) == _as_data(
+                per_pair.g_structures(R, A)
+            ), (R, A)
+        return memo[key]
+
+    for G in graphs:
+        for H in graphs:
+            got = enumerate_generic_pairs(G, H)
+            want = per_pair.generic_pairs(G, H, by_mask)
+            assert [A for A, _ in got] == [A for A, _ in want], (G, H)
+            for (A, pairs), (_, expected) in zip(got, want):
+                assert _pairs_data(pairs) == _pairs_data(expected), (G, H, A)
+
+
+def _side_groups_by_beta(R, A, deco, degrees):
+    """``_side_groups`` of every contraction of ``R`` on ``A``, from the
+    reference structures, each transported through its ``beta`` dict."""
+    out = {}
+    for m, built in per_pair.structures_by_mask(R, A).items():
+        groups = {}
+        for i, (key, s) in enumerate(built):
+            psi, jobs = per_pair.transport(A, PairStructure(s, s, ()), deco, ((), ()))
+            groups.setdefault((psi, jobs), [(key, i), 0])[1] += 1
+        out[m] = [
+            (first, count, psi, jobs)
+            for (psi, jobs), (first, count) in groups.items()
+            if degrees is None
+            or all(sum(psi[h] for h in A.halfedges_at[v]) <= d for v, d in enumerate(degrees))
+        ]
+    return out
+
+
+def test_side_groups_transport_like_beta():
+    # every decoration of the spanning sets, moved onto the graphs with up
+    # to two more edges through the edge codes, as the beta dicts move it;
+    # with and without the degree targets of each evaluation class
+    decos = {}
+    for g, n, space in [(0, 5, "mbar"), (2, 1, "mbar"), (2, 2, "mbar"), (3, 1, "ct")]:
+        for k in range(top_degree(space, g, n) + 1):
+            for d in decorated_basis(g, n, k, space):
+                R, deco = d._interned
+                decos.setdefault(id(R), (R, space, []))[2].append(deco)
+    seen = Counter()
+    for R, space, found in decos.values():
+        g, n = R.genus, R.n_legs
+        for A in (A for e in range(R.n_edges, R.n_edges + 3) for A in stable_graphs(g, n, e, space)):
+            entry = structures._on(R, A)
+            if not entry.contractions:
+                continue
+            masks = list(entry.contractions)
+            targets = [
+                [t for _, _, t in split]
+                for split in (hodge_split(A, kind) for kind in EvaluationKind)
+                if split is not None
+            ]
+            for deco in found:
+                every = _side_groups_by_beta(R, A, deco, None)
+                assert _side_groups(R, A, masks, deco) == every, (R, A, deco)
+                for degrees in targets:
+                    want = _side_groups_by_beta(R, A, deco, degrees)
+                    assert _side_groups(R, A, masks, deco, degrees) == want, (R, A, deco)
+                    seen["dropped"] += want != every
+                seen["moved psi"] += any(entry.where[h] >= 0 for h, _ in deco[0])
+                seen["kappa on a fibre"] += any(
+                    len(fibre) > 1 for groups in every.values() for *_, jobs in groups for fibre, _, _ in jobs
+                )
+                seen["merged"] += any(count > 1 for groups in every.values() for _, count, _, _ in groups)
+    assert len(seen) == 4 and min(seen.values()) > 0, seen
 
 
 @pytest.mark.parametrize("flip", [False, True])
 def test_only_the_structures_of_generic_pairs_are_built(monkeypatch, flip):
     # on M_3-bar: a search that builds every structure of both graphs on the
     # carriers it tries builds 348 (160 the other way round); 44 of them lie
-    # in a generic pair
+    # in a generic pair.  The structure store keeps those 44, as edge codes
+    # and alpha tuples, and the listing turns each into one GStructure.
     G = build_graph([1], edges=[(0, 0), (0, 0)])
     H = build_graph([1, 1], edges=[(0, 1), (0, 1)])
     if flip:
         G, H = H, G
-    built = []
-
-    def counted(*args):
-        built.append(GStructure(*args))
-        return built[-1]
-
-    monkeypatch.setattr(structures, "GStructure", counted)
     monkeypatch.setattr(structures, "_structure_cache", {})
     out = enumerate_generic_pairs(G, H)
+    compact = [
+        key
+        for entry in structures._structure_cache.values()
+        for c in entry.contractions.values()
+        if c.keys is not None
+        for key in c.keys
+    ]
     used = {id(s) for _, pairs in out for p in pairs for s in (p.left, p.right)}
     assert sum(len(pairs) for _, pairs in out) == 128
-    assert len(built) == len(used) == 44
+    assert len(compact) == len(used) == 44
 
 
 @lru_cache(maxsize=None)
