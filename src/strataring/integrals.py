@@ -13,7 +13,11 @@ and the lambda_g lambda_{g-1} socle evaluation is
 
     (2g-3+n)! |B_2g| / (2^(2g-1) (2g)! prod (2 d_i - 1)!!).
 
-Everything is a ``fractions.Fraction``; no value is ever approximated.
+Each kappa-free integral is memoized once, in ``_tau_cache`` under
+``(genus, exponents in decreasing order, vertex kind)``; this is the table
+``--cache`` saves.  Integrals with kappa classes are memoized in
+``_kappa_cache``.  Everything is a ``fractions.Fraction``; no value is
+ever approximated.
 """
 
 from __future__ import annotations
@@ -103,23 +107,22 @@ def double_factorial(m: int) -> int:
     return out
 
 
-# -- memo cache ---------------------------------------------------------
+# -- memo tables --------------------------------------------------------
 
 ZERO = Fraction(0)
 
-# TauKey -> value; TauKey = (genus, sorted psi exponents, kind code)
-_tau_cache: dict[tuple[int, tuple[int, ...], int], Fraction] = {}
-_kappa_cache: dict[tuple, Fraction] = {}
+# (genus, psi exponents in decreasing order, vertex kind) -> psi integral
+_tau_cache: dict[tuple[int, tuple[int, ...], EvaluationKind], Fraction] = {}
+# (genus, decreasing psi, decreasing nonempty kappa indices, kind) -> integral
+_kappa_cache: dict[tuple[int, tuple[int, ...], tuple[int, ...], EvaluationKind], Fraction] = {}
+
+_CHECKSUM = "# sha256 "
 
 
-def cache_get(g: int, exponents, kind) -> Fraction | None:
-    kind = evaluation_kind(kind)
-    return _tau_cache.get((g, tuple(sorted(exponents)), kind.value))
+def _digest(lines: list[str]) -> str:
+    import hashlib  # imported here: it loads libcrypto, which only --cache needs
 
-
-def cache_put(g: int, exponents, kind, value: Fraction) -> None:
-    kind = evaluation_kind(kind)
-    _tau_cache[(g, tuple(sorted(exponents)), kind.value)] = Fraction(value)
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
 def cache_clear() -> None:
@@ -128,11 +131,14 @@ def cache_clear() -> None:
 
 
 def cache_snapshot(path: str) -> int:
-    """Write the psi-integral memo table; returns the number of entries."""
-    lines = []
-    for (g, ds, kind), value in sorted(_tau_cache.items()):
-        dstr = ",".join(str(d) for d in ds) if ds else "-"
-        lines.append(f"v1 {g} {dstr} {kind} {value.numerator}/{value.denominator}\n")
+    """Write the psi-integral memo table, one ``v1 g d kind value`` line per
+    entry and a final ``# sha256`` line over them; returns the number of
+    entries."""
+    entries = sorted((g, d, kind.value, value) for (g, d, kind), value in _tau_cache.items())
+    lines = [
+        f"v1 {g} {','.join(map(str, d)) or '-'} {code} {value.numerator}/{value.denominator}\n"
+        for g, d, code, value in entries
+    ]
     # a private temporary file in the target directory, so that concurrent
     # snapshots never write into one another's file before the rename
     fd, tmp = tempfile.mkstemp(
@@ -141,6 +147,7 @@ def cache_snapshot(path: str) -> int:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(lines)
+            fh.write(f"{_CHECKSUM}{_digest(lines)}\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -149,75 +156,119 @@ def cache_snapshot(path: str) -> int:
 
 
 def cache_load(path: str) -> int:
-    """Load a snapshot, skipping (with a warning) any corrupt lines."""
-    loaded = 0
+    """Load a snapshot; returns the number of entries loaded.
+
+    A file whose last line is a checksum that does not match the lines
+    before it loads nothing.  Otherwise corrupt lines are skipped.  Both
+    warn, and what was not loaded is recomputed when needed.
+    """
     try:
-        fh = open(path)
+        with open(path) as fh:
+            lines = fh.readlines()
     except OSError:
         return 0
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                tag, gs, dstr, kind, frac = line.split()
-                if tag != "v1":
-                    raise ValueError("bad version tag")
-                g = int(gs)
-                ds = () if dstr == "-" else tuple(int(x) for x in dstr.split(","))
-                code = EvaluationKind(int(kind)).value
-                num, den = frac.split("/")
-                value = Fraction(int(num), int(den))
-            except (ValueError, ZeroDivisionError):
-                print(
-                    f"warning: ignoring corrupt cache line {lineno} in {path}",
-                    file=sys.stderr,
-                )
-                continue
-            _tau_cache[(g, tuple(sorted(ds)), code)] = value
-            loaded += 1
+    if lines and lines[-1].startswith(_CHECKSUM):
+        digest = lines.pop()[len(_CHECKSUM) :].strip()
+        if _digest(lines) != digest:
+            print(f"warning: ignoring cache {path}: checksum mismatch", file=sys.stderr)
+            return 0
+    loaded = 0
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            tag, gs, dstr, code, frac = line.split()
+            if tag != "v1":
+                raise ValueError("bad version tag")
+            g = int(gs)
+            d = () if dstr == "-" else tuple(sorted(map(int, dstr.split(",")), reverse=True))
+            kind = EvaluationKind(int(code))
+            if _vertex_kind(g, kind) is not kind:
+                raise ValueError("the engine keys this integral under another kind")
+            num, den = frac.split("/")
+            value = Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError):
+            print(f"warning: ignoring corrupt cache line {lineno} in {path}", file=sys.stderr)
+            continue
+        _tau_cache[g, d, kind] = value
+        loaded += 1
     return loaded
 
 
-# -- pure psi integrals --------------------------------------------------
+# -- psi integrals ---------------------------------------------------------
 
 
-def wk_tau(g: int, exponents) -> Fraction:
-    """The correlator <tau_{d_1} ... tau_{d_n}>_g; zero off dimension."""
-    d = tuple(sorted(exponents, reverse=True))
-    n = len(d)
-    if g < 0 or any(x < 0 for x in d):
-        return ZERO
-    if sum(d) != 3 * g - 3 + n:
-        return ZERO
-    if 2 * g - 2 + n <= 0:
-        return ZERO
+def _vertex_kind(g: int, kind: EvaluationKind) -> EvaluationKind:
+    """The class a genus-``g`` vertex is integrated against under ``kind``.
+    lambda_0 = 1, so genus 0 takes the fundamental class under every kind,
+    and genus 1 under lambda_g lambda_{g-1} takes lambda_1."""
     if g == 0:
-        # closed multinomial form; never cached
-        return Fraction(_multinomial(n - 3, d))
-    key = (g, d, FUNDAMENTAL.value)
+        return FUNDAMENTAL
+    if g == 1 and kind is LAMBDA_PAIR:
+        return LAMBDA_TOP
+    return kind
+
+
+def _psi_integral(g: int, d: tuple[int, ...], kind: EvaluationKind) -> Fraction:
+    """The psi monomial ``d`` (exponents in decreasing order) integrated
+    against ``kind``; zero off dimension.  Values are memoized under the
+    vertex kind of ``g``, off-dimension zeros are not."""
+    key = (g, d, kind)
     hit = _tau_cache.get(key)
     if hit is not None:
         return hit
-    value = _wk_recurse(g, d)
+    vkind = _vertex_kind(g, kind)
+    if vkind is not kind:
+        return _psi_integral(g, d, vkind)
+    n = len(d)
+    if g < 0 or (d and d[-1] < 0) or 2 * g - 2 + n <= 0:
+        return ZERO
+    if sum(d) != top_degree(kind.space, g, n):
+        return ZERO
+    if g == 0:
+        value = Fraction(_multinomial(n - 3, d))
+    elif kind is LAMBDA_TOP:
+        b_g = Fraction(2 ** (2 * g - 1) - 1, 2 ** (2 * g - 1)) * abs(bernoulli(2 * g))
+        value = _multinomial(2 * g - 3 + n, d) * b_g / factorial(2 * g)
+    elif d and d[-1] == 0:
+        # the string equation; the lambda_g lambda_{g-1} closed form below
+        # holds for positive exponents only
+        rest = d[:-1]
+        value = ZERO
+        for j in range(len(rest)):
+            if rest[j] >= 1:
+                value += hodge_psi(g, rest[:j] + (rest[j] - 1,) + rest[j + 1 :], kind)
+    elif kind is FUNDAMENTAL:
+        value = _wk_recurse(g, d)
+    else:
+        denom = 2 ** (2 * g - 1) * factorial(2 * g)
+        for x in d:
+            denom *= double_factorial(2 * x - 1)
+        value = Fraction(factorial(2 * g - 3 + n)) * abs(bernoulli(2 * g)) / denom
     _tau_cache[key] = value
     return value
 
 
+def wk_tau(g: int, exponents) -> Fraction:
+    """The correlator <tau_{d_1} ... tau_{d_n}>_g; zero off dimension."""
+    return _psi_integral(g, tuple(sorted(exponents, reverse=True)), FUNDAMENTAL)
+
+
+def hodge_psi(g: int, exponents, kind) -> Fraction:
+    """Integral of a psi monomial against the evaluation class: the
+    fundamental class, lambda_g (compact-type socle) or lambda_g
+    lambda_{g-1} (rational-tails socle); zero off dimension."""
+    return _psi_integral(g, tuple(sorted(exponents, reverse=True)), evaluation_kind(kind))
+
+
 def _wk_recurse(g: int, d: tuple[int, ...]) -> Fraction:
+    """<tau_d>_g for g >= 1 on dimension and positive exponents, by the
+    dilaton equation or the KdV recursion on the largest exponent."""
     n = len(d)
     if g == 1 and d == (1,):
         return Fraction(1, 24)
-    if d and d[-1] == 0 and n >= 2:
-        # string equation
-        rest = d[:-1]
-        total = ZERO
-        for j in range(len(rest)):
-            if rest[j] >= 1:
-                total += wk_tau(g, rest[:j] + (rest[j] - 1,) + rest[j + 1 :])
-        return total
-    if d and d[-1] == 1 and n >= 2:
+    if d[-1] == 1 and n >= 2:
         # dilaton equation
         rest = d[:-1]
         return (2 * g - 2 + n - 1) * wk_tau(g, rest)
@@ -262,59 +313,7 @@ def _submultisets(values: tuple[int, ...]):
         yield tuple(sub), tuple(complement), multiplicity
 
 
-# -- Hodge evaluations ----------------------------------------------------
-
-
-def _b_top(g: int) -> Fraction:
-    return Fraction(2 ** (2 * g - 1) - 1, 2 ** (2 * g - 1)) * abs(
-        bernoulli(2 * g)
-    ) / factorial(2 * g)
-
-
-def hodge_psi(g: int, exponents, kind) -> Fraction:
-    """Integral of a psi monomial against lambda_g (compact-type socle) or
-    lambda_g lambda_{g-1} (rational-tails socle); zero off dimension."""
-    kind = evaluation_kind(kind)
-    if kind is FUNDAMENTAL:
-        return wk_tau(g, exponents)
-    d = tuple(sorted(exponents, reverse=True))
-    n = len(d)
-    if any(x < 0 for x in d) or 2 * g - 2 + n <= 0:
-        return ZERO
-    if g == 0:
-        return wk_tau(0, d)
-    if kind is LAMBDA_TOP or g == 1:
-        # for g = 1 the two evaluations coincide (lambda_0 = 1)
-        if sum(d) != 2 * g - 3 + n:
-            return ZERO
-        key = (g, d, LAMBDA_TOP.value)
-        hit = _tau_cache.get(key)
-        if hit is None:
-            hit = _multinomial(2 * g - 3 + n, d) * _b_top(g)
-            _tau_cache[key] = hit
-        return hit
-    if sum(d) != g - 2 + n:
-        return ZERO
-    key = (g, d, LAMBDA_PAIR.value)
-    hit = _tau_cache.get(key)
-    if hit is None:
-        if d and d[-1] == 0 and n >= 2:
-            # the closed formula needs positive exponents; strip zero
-            # exponents with the string equation first
-            rest = d[:-1]
-            hit = ZERO
-            for j in range(len(rest)):
-                if rest[j] >= 1:
-                    hit += hodge_psi(
-                        g, rest[:j] + (rest[j] - 1,) + rest[j + 1 :], LAMBDA_PAIR
-                    )
-        else:
-            denom = 2 ** (2 * g - 1) * factorial(2 * g)
-            for x in d:
-                denom *= double_factorial(2 * x - 1)
-            hit = Fraction(factorial(2 * g - 3 + n)) * abs(bernoulli(2 * g)) / denom
-        _tau_cache[key] = hit
-    return hit
+# -- kappa pushforward ------------------------------------------------------
 
 
 def kappa_reduce(g: int, psi_exponents, kappa_indices, kind=FUNDAMENTAL) -> Fraction:
@@ -322,29 +321,27 @@ def kappa_reduce(g: int, psi_exponents, kappa_indices, kind=FUNDAMENTAL) -> Frac
 
     One kappa index is removed per step by pushing forward along the map
     that forgets one extra point; lambda classes pull back along it, so
-    the same recursion applies to all three evaluation kinds.  Every
-    value is memoized under ``(g, sorted psi, sorted kappa, kind)``,
-    kappa-free and genus-0 integrals included.
+    the same recursion applies to all three evaluation kinds.  A
+    kappa-free monomial is the psi integral of ``_tau_cache``; the others
+    are memoized under ``(g, sorted psi, sorted kappa, kind)``.
     """
     kind = evaluation_kind(kind)
     psi = tuple(sorted(psi_exponents, reverse=True))
     kap = tuple(sorted(kappa_indices, reverse=True))
-    if any(b < 1 for b in kap):
-        raise ValueError("kappa indices must be >= 1")
-    key = (g, psi, kap, kind.value)
+    if not kap:
+        return _psi_integral(g, psi, kind)
+    key = (g, psi, kap, kind)
     hit = _kappa_cache.get(key)
     if hit is not None:
         return hit
-    if not kap:
-        # memoized here as well: genus-0 closed forms have no other memo
-        total = hodge_psi(g, psi, kind)
-    else:
-        b1 = kap[0]
-        rest = kap[1:]
-        total = ZERO
-        for sub, comp, mult in _submultisets(rest):
-            new_point = b1 + 1 + sum(sub)
-            total += (-1) ** len(sub) * mult * kappa_reduce(g, psi + (new_point,), comp, kind)
+    if kap[-1] < 1:
+        raise ValueError("kappa indices must be >= 1")
+    b1 = kap[0]
+    rest = kap[1:]
+    total = ZERO
+    for sub, comp, mult in _submultisets(rest):
+        new_point = b1 + 1 + sum(sub)
+        total += (-1) ** len(sub) * mult * kappa_reduce(g, psi + (new_point,), comp, kind)
     _kappa_cache[key] = total
     return total
 
@@ -359,16 +356,15 @@ def hodge_split(G: StableGraph, kind: EvaluationKind):
     lambda class vanishes on graphs with a cycle, and the lambda_g
     lambda_{g-1} evaluation vanishes unless the graph is a tree whose
     unique positive-genus vertex carries the full genus.  Otherwise one
-    ``(genus, vertex kind, top degree)`` triple per vertex: under
-    lambda_g lambda_{g-1} the genus-0 vertices are integrated against
-    the fundamental class, and only decorations of exactly the vertex's
-    top degree integrate to a nonzero value.
+    ``(genus, vertex kind, top degree)`` triple per vertex, the vertex
+    kind from :func:`_vertex_kind`; only decorations of exactly the
+    vertex's top degree integrate to a nonzero value.
     """
     if not space_admits(G, kind.space):
         return None
     split = []
     for v, gv in enumerate(G.genera):
-        vkind = FUNDAMENTAL if kind is LAMBDA_PAIR and gv == 0 else kind
+        vkind = _vertex_kind(gv, kind)
         split.append((gv, vkind, top_degree(vkind.space, gv, G.degree(v))))
     return split
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import strataring
+from strataring import integrals
 from strataring.cli import main
 from strataring.grammar import ParseError, parse_sum, sum_to_json, sum_to_text
 from test_grammar import _corrupted, _sums
@@ -94,6 +96,28 @@ def test_cache_flag_roundtrip(tmp_path, capsys):
     assert cache.exists() and cache.read_text().startswith("v1 ")
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_cache_value_edited_under_its_checksum_is_not_loaded(tmp_path, capsys):
+    cache = tmp_path / "cache.txt"
+    args = ["gram", "-g", "1", "-n", "2", "-k", "1", "--space", "mbar", "--cache", str(cache)]
+    integrals.cache_clear()
+    try:
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        *entries, checksum = cache.read_text().splitlines(keepends=True)
+        assert checksum.startswith("# sha256 ")
+        g, d, code = entries[-1].split()[1:4]
+        entries[-1] = f"v1 {g} {d} {code} 12345/1\n"
+        cache.write_text("".join(entries) + checksum)
+        integrals.cache_clear()
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert out == first
+        assert err.count("checksum") == 1
+        assert F(12345) not in integrals._tau_cache.values()
+    finally:
+        integrals.cache_clear()
 
 
 def test_cache_with_unknown_kind_codes_is_skipped(fixtures_dir, tmp_path, capsys):

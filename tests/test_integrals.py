@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 from collections import Counter
@@ -9,6 +10,7 @@ from math import factorial
 
 import pytest
 
+import strataring.integrals as integrals
 from strataring.algebra import FormalSum
 from strataring.integrals import (
     FUNDAMENTAL,
@@ -18,9 +20,7 @@ from strataring.integrals import (
     _submultisets,
     bernoulli,
     cache_clear,
-    cache_get,
     cache_load,
-    cache_put,
     cache_snapshot,
     hodge_psi,
     integrate_graph,
@@ -260,17 +260,55 @@ def test_integrate_sum_linearity():
 def test_cache_roundtrip(tmp_path):
     cache_clear()
     try:
-        cache_put(9, (1, 2), FUNDAMENTAL, F(3, 7))
-        assert cache_get(9, (2, 1), FUNDAMENTAL) == F(3, 7)
+        # an off-dimension key, so that only the memo can give this value
+        integrals._tau_cache[9, (2, 1), FUNDAMENTAL] = F(3, 7)
+        assert wk_tau(9, (1, 2)) == F(3, 7)
         wk_tau(2, (4,))
         path = tmp_path / "cache.txt"
         n = cache_snapshot(str(path))
         assert n >= 2
         cache_clear()
-        assert cache_get(9, (1, 2), FUNDAMENTAL) is None
+        assert wk_tau(9, (1, 2)) == 0
         assert cache_load(str(path)) == n
-        assert cache_get(9, (1, 2), FUNDAMENTAL) == F(3, 7)
+        assert wk_tau(9, (1, 2)) == F(3, 7)
         assert wk_tau(2, (4,)) == F(1, 1152)
+    finally:
+        cache_clear()
+
+
+def _raise(*args):
+    raise AssertionError("recomputed a value the cache file holds")
+
+
+def test_cache_roundtrip_recomputes_nothing(tmp_path, monkeypatch):
+    """Every vertex integral is stored under the key the engine looks up,
+    so a loaded snapshot serves each lookup again, and a snapshot taken
+    after that is the same file."""
+    calls = [
+        lambda: wk_tau(2, (4, 2, 1, 1, 0)),
+        lambda: wk_tau(3, (0, 4, 3, 3)),
+        lambda: kappa_reduce(0, (0, 1, 0, 0, 0), (1,)),
+        lambda: kappa_reduce(3, (1, 2), (1, 2, 2), FUNDAMENTAL),
+        lambda: kappa_reduce(1, (1, 0, 0), (1,), LAMBDA_PAIR),
+        lambda: kappa_reduce(3, (0, 2, 1), (1, 2), LAMBDA_TOP),
+        lambda: kappa_reduce(3, (0, 1, 0), (1, 2), LAMBDA_PAIR),
+        lambda: hodge_psi(2, (2, 0, 2, 0), LAMBDA_PAIR),
+    ]
+    path = tmp_path / "cache.txt"
+    cache_clear()
+    try:
+        values = [call() for call in calls]
+        assert all(values)
+        assert all(kap for _, _, kap, _ in integrals._kappa_cache)
+        cache_snapshot(str(path))
+        first = path.read_bytes()
+        cache_clear()
+        assert cache_load(str(path)) > len(calls)
+        for name in ("_wk_recurse", "_multinomial", "bernoulli"):
+            monkeypatch.setattr(integrals, name, _raise)
+        assert [call() for call in calls] == values
+        cache_snapshot(str(path))
+        assert path.read_bytes() == first
     finally:
         cache_clear()
 
@@ -279,15 +317,31 @@ def test_cache_ignores_corrupt_lines(tmp_path, capsys):
     path = tmp_path / "cache.txt"
     path.write_text(
         "v1 2 4 0 1/1152\nv1 bogus line\nv2 1 1 0 1/24\nv1 1 1 x 1/24\nv1 1 1 7 1/24\n"
-        "v1 1 1 0 1/0\n"
+        "v1 1 1 0 1/0\nv1 0 0,0,0 2 1/1\nv1 1 1 2 1/24\n"
     )
     cache_clear()
     try:
         assert cache_load(str(path)) == 1
-        assert cache_get(2, (4,), FUNDAMENTAL) == F(1, 1152)
+        assert integrals._tau_cache == {(2, (4,), FUNDAMENTAL): F(1, 1152)}
     finally:
         cache_clear()
-    assert capsys.readouterr().err.count("corrupt cache line") == 5
+    assert capsys.readouterr().err.count("corrupt cache line") == 7
+
+
+def test_cache_with_a_wrong_checksum_loads_nothing(tmp_path, capsys):
+    path = tmp_path / "cache.txt"
+    body = "v1 2 4 0 1/1152\nv1 1 1 0 1/24\n"
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(body.replace("1/24", "1/12") + f"# sha256 {digest}\n")
+    cache_clear()
+    try:
+        assert cache_load(str(path)) == 0
+        assert integrals._tau_cache == {}
+        assert capsys.readouterr().err.count("checksum") == 1
+        path.write_text(body + f"# sha256 {digest}\n")
+        assert cache_load(str(path)) == 2
+    finally:
+        cache_clear()
 
 
 def test_cache_snapshot_ignores_a_stale_fixed_temp_path(tmp_path):
@@ -295,9 +349,10 @@ def test_cache_snapshot_ignores_a_stale_fixed_temp_path(tmp_path):
     os.mkdir(str(path) + ".tmp")
     cache_clear()
     try:
-        cache_put(2, (4,), FUNDAMENTAL, F(1, 1152))
+        integrals._tau_cache[2, (4,), FUNDAMENTAL] = F(1, 1152)
         assert cache_snapshot(str(path)) == 1
-        assert path.read_text() == "v1 2 4 0 1/1152\n"
+        digest = hashlib.sha256(b"v1 2 4 0 1/1152\n").hexdigest()
+        assert path.read_text() == f"v1 2 4 0 1/1152\n# sha256 {digest}\n"
         assert sorted(os.listdir(tmp_path)) == ["cache.txt", "cache.txt.tmp"]
     finally:
         cache_clear()
@@ -374,16 +429,15 @@ def test_wk_tau_agrees_with_dvv_recursion(g, max_n):
 
 
 def test_genus_zero_vertex_integrals_are_memoized(monkeypatch):
-    import strataring.integrals as integrals
-
     calls = []
-    real = integrals.wk_tau
-    monkeypatch.setattr(integrals, "wk_tau", lambda g, d: calls.append(g) or real(g, d))
+    real = integrals._multinomial
+    monkeypatch.setattr(integrals, "_multinomial", lambda t, c: calls.append(t) or real(t, c))
     cache_clear()
     try:
         for _ in range(3):
             assert kappa_reduce(0, (1, 0, 0, 0), ()) == 1
+            assert kappa_reduce(0, (0, 1, 0, 0), (), LAMBDA_TOP) == 1
             assert kappa_reduce(0, (0, 1, 0, 0), (), LAMBDA_PAIR) == 1
-        assert calls == [0, 0]  # once per kind
+        assert calls == [1]  # once across the kinds
     finally:
         cache_clear()

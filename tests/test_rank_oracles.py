@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from strataring.pairing import rank_table
+from strataring.pairing import gram, rank, rank_table
 
 
 def _times(a: list[int], b: list[int]) -> list[int]:
@@ -119,10 +119,16 @@ def _divisor_count(g: int, n: int) -> int:
     return 1 + n + 1 + len(splittings)
 
 
-@pytest.mark.parametrize("n", [0, 1])
+# the degree-1 pairing rank is at most the rank of H^2, with equality
+# when the one-dimensional boundary strata, which are tautological,
+# detect every divisor class; the rank reaches the count
+@pytest.mark.parametrize("n", [0, 1, 2])
 def test_genus_three_degree_one_ranks_are_the_divisor_counts(n):
-    # the degree-1 pairing rank is at most the rank of H^2, with equality
-    # when the one-dimensional boundary strata, which are tautological,
-    # detect every divisor class; the rank reaches the count
-    assert _divisor_count(3, n) == (3, 5)[n]
-    assert rank_table(3, n, "mbar")[1] == _divisor_count(3, n)
+    assert _divisor_count(3, n) == (3, 5, 9)[n]
+    assert rank(gram(3, n, 1, "mbar")) == _divisor_count(3, n)
+
+
+@pytest.mark.parametrize("n", [0, pytest.param(1, marks=pytest.mark.slow)])
+def test_genus_four_degree_one_ranks_are_the_divisor_counts(n):
+    assert _divisor_count(4, n) == (4, 6)[n]
+    assert rank(gram(4, n, 1, "mbar")) == _divisor_count(4, n)

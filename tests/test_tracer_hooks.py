@@ -51,6 +51,9 @@ def test_the_benchmark_tracer_finds_every_hook():
         "algebra.expand_calls",
         "algebra.expand_terms",
         "integrals.vertex_calls",
+        "integrals.wk_calls",
+        "cache.tau_entries",
+        "cache.kappa_entries",
         "structures.pair_structures",
         "pairing.pairings",
     ):
