@@ -21,24 +21,29 @@ the transported decorations and the common edges).  One pipeline,
 :func:`_product_terms`, counts the pair structures per key over all term
 pairs from tallies of each side's structures, without building a pair,
 expands each key once and sums the raw decorations per carrier.  Its two
-consumers differ only in the last step: :func:`multiply` takes the
-canonical form of each distinct raw decoration once, and
-``pairing.integrate_product`` integrates it once, and names the top
-degree of each carrier vertex, so that only the raw terms of those
-degrees, the only ones whose integral can be nonzero, are built.
+consumers differ only in the last step: :func:`multiply` adds each
+distinct raw decoration to the result, and ``pairing.integrate_product``
+integrates it once, and names the top degree of each carrier vertex, so
+that only the raw terms of those degrees, the only ones whose integral
+can be nonzero, are built.
+
+Two decorations of one carrier ``A`` are isomorphic exactly when an
+automorphism of ``A`` exchanges them, so :func:`multiply` runs one
+canonical search per ``Aut(A)``-orbit of raw terms: it keys a memo by
+the orbit minimum, in a compact encoding, and only a miss searches.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import factorial, lcm
 from operator import add, gt, itemgetter
 
 from . import canon
 from .graphs import GraphError, StableGraph, intern
-from .structures import _generic_carriers, _on
+from .structures import _automorphisms, _generic_carriers, _on
 
 
 class SpaceMismatch(ValueError):
@@ -107,7 +112,9 @@ class DecoratedGraph:
 
     @cached_property
     def _canon(self):
-        return canon.canonical_data(self.graph, self.psi, self.kappa)
+        """``(canonical key, automorphism order)``; nothing reads the vertex
+        order of a decorated graph, so it is not kept."""
+        return canon.canonical_data(self.graph, self.psi, self.kappa)[:2]
 
     @property
     def canonical_key(self):
@@ -539,13 +546,49 @@ def _product_terms(term_pairs, targets=None):
         yield A, {deco: Fraction(n, denominator) for deco, n in raw.items() if n}
 
 
+# id(carrier) -> (carrier, gathers, {orbit code: (canonical key, aut order)})
+_orbit_cache: dict[int, tuple] = {}
+
+
+def _orbits(A: StableGraph) -> tuple[list, dict]:
+    """The gathers of ``Aut(A)`` and the memo of the decorated classes on
+    ``A`` met so far.  A gather is an ``itemgetter`` over ``psi + kappa``
+    that reads them through one automorphism, so the gathers of a
+    decoration list its ``Aut(A)``-orbit; a carrier with no automorphism
+    but the identity has none.  The memo is keyed by :func:`_orbit_code`
+    of the orbit minimum."""
+    hit = _orbit_cache.get(id(A))
+    if hit is None:
+        nh = A.n_halfedges
+        auts = _automorphisms(A)
+        gathers = [itemgetter(*hmap, *(nh + x for x in vmap)) for hmap, vmap in auts]
+        hit = _orbit_cache[id(A)] = (A, gathers if len(auts) > 1 else [], {})
+    return hit[1], hit[2]
+
+
+def _orbit_code(psi, kappa):
+    """A compact memo key for a decoration of a fixed carrier: the psi
+    exponents as bytes, then each vertex's kappa monomial as ``j, f``
+    bytes closed by a 0 byte (``j, f >= 1``), left out when no vertex has
+    one.  An exponent or index above 255 does not fit a byte; that
+    decoration is keyed by its tuple, which equals no ``bytes``."""
+    try:
+        if any(kappa):
+            return bytes(psi) + bytes(chain.from_iterable(chain(*m, (0,)) for m in kappa))
+        return bytes(psi)
+    except ValueError:
+        return psi, kappa
+
+
 def multiply(x: FormalSum, y: FormalSum) -> FormalSum:
     """Product in the graded algebra of decorated graphs.
 
-    The raw terms of every carrier come from :func:`_product_terms`; each
-    distinct raw decoration is canonicalized once, when it enters the
-    result.  Within a carrier the terms enter in the order in which they
-    first occur.
+    The raw terms of every carrier come from :func:`_product_terms`, and
+    enter the result in the order in which they first occur within their
+    carrier.  Raw terms that an automorphism of the carrier exchanges are
+    one class, so a canonical search runs once per ``Aut(A)``-orbit: each
+    raw term is read through every automorphism (:func:`_orbits`), and the
+    ``(key, aut order)`` of the smallest reading is memoized across calls.
     """
     if (x.g, x.n) != (y.g, y.n):
         raise SpaceMismatch("factors live on different moduli spaces")
@@ -554,8 +597,21 @@ def multiply(x: FormalSum, y: FormalSum) -> FormalSum:
         (cG * cH, dG, dH) for cG, dG in x.terms.values() for cH, dH in y.terms.values()
     )
     for A, raw in _product_terms(term_pairs):
+        gathers, memo = _orbits(A)
+        nh = A.n_halfedges
         for (psi, kappa), coeff in raw.items():
-            out._add(coeff, DecoratedGraph(A, psi, kappa))
+            d = DecoratedGraph(A, psi, kappa)
+            if gathers:
+                least = min([gather(psi + kappa) for gather in gathers])
+                code = _orbit_code(least[:nh], least[nh:])
+            else:
+                code = _orbit_code(psi, kappa)
+            known = memo.get(code)
+            if known is None:
+                memo[code] = d._canon
+            else:  # the class is known: the raw term takes its key unsearched
+                d.__dict__["_canon"] = known
+            out._add(coeff, d)
     return out
 
 

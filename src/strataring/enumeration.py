@@ -6,10 +6,11 @@ graphs, trees only, or trees with a single positive-genus vertex).
 Graphs with ``e`` edges are generated from those with ``e - 1`` by undoing
 an edge contraction (splitting a vertex, or trading a unit of vertex genus
 for a self-loop), and a refinement the space does not admit is dropped
-before its canonical form is taken.  Contracting any edge of a stable
-graph is again stable, and contracting an edge of a tree (with one
-positive-genus vertex) gives a tree (with one positive-genus vertex), so
-the sweep is exhaustive in each space.
+before its canonical form is taken.  The two sides of a vertex split are
+interchangeable, so of a split and its mirror only the first is tried.
+Contracting any edge of a stable graph is again stable, and contracting
+an edge of a tree (with one positive-genus vertex) gives a tree (with one
+positive-genus vertex), so the sweep is exhaustive in each space.
 
 The sweep keeps what it learns on the way: which classes with ``e``
 edges refine each class with ``e - 1`` edges, as bit masks over the kept
@@ -25,7 +26,7 @@ boundary-expressibility bound
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 
 from .algebra import DecoratedGraph, _compositions
 from .graphs import StableGraph, build_graph
@@ -162,6 +163,14 @@ def _masks_above(F: StableGraph, space: str, lo: int, top: int) -> list[int]:
 
 
 def _one_edge_refinements(X: StableGraph):
+    """The graphs that contract one edge onto ``X``: each unit of vertex
+    genus traded for a self-loop, then each split of a vertex along a new
+    edge, once per mirror pair.
+
+    The mirror of a split swaps its two sides: the genera, the legs, the
+    halves of each bundle of parallel edges and the loops that stay or
+    move.  It gives an isomorphic graph, so a split is skipped when its
+    mirror has been yielded; a split that is its own mirror is yielded."""
     nv = X.n_vertices
     nh = X.n_halfedges
     # (a) trade one unit of genus for a self-loop
@@ -185,21 +194,34 @@ def _one_edge_refinements(X: StableGraph):
             w = X.vertex_of[X.partner[h]]
             if X.partner[h] != h and w != v:
                 neighbor_halves.setdefault(w, []).append(h)
-        nbrs = sorted(neighbor_halves)
+        bundles = [neighbor_halves[w] for w in sorted(neighbor_halves)]
+        yielded = set()
         for ga in range(X.genera[v] + 1):
             gb = X.genera[v] - ga
-            for moved, split_loops in _attachment_splits(
-                legs_v, loops_v, [neighbor_halves[w] for w in nbrs]
+            for (legs_in, counts, loop_counts), moved, split_loops in _attachment_splits(
+                legs_v, loops_v, bundles
             ):
+                mirror = (
+                    gb,
+                    tuple(1 - b for b in legs_in),
+                    tuple(len(halves) - k for halves, k in zip(bundles, counts)),
+                    loop_counts[::-1],
+                )
+                if mirror in yielded:
+                    continue
+                yielded.add((ga, legs_in, counts, loop_counts))
                 yield from _apply_split(X, v, ga, gb, moved, split_loops)
 
 
 def _attachment_splits(legs, loops, bundles):
     """Distributions of the attachments of a vertex onto the two sides of a
-    split, yielded as (half-edges moved to the new vertex, loops that
-    become edges across the split).  Interchangeable half-edges (parallel
-    edges to one neighbor, loops) are enumerated by count only."""
-    bundle_choices = [[set(halves[:k]) for k in range(len(halves) + 1)] for halves in bundles]
+    split, yielded as (sides, half-edges moved to the new vertex, loops
+    that become edges across the split).  Interchangeable half-edges
+    (parallel edges to one neighbor, loops) are enumerated by count only,
+    so ``sides`` says which: per leg 1 if it moves, per bundle the number
+    of halves that move, and the numbers of loops that stay, split and
+    move."""
+    bundle_choices = [range(len(halves) + 1) for halves in bundles]
     # per loop multiset: the first ``stay`` loops stay, the next ``split``
     # are split, the rest move
     L = len(loops)
@@ -207,12 +229,15 @@ def _attachment_splits(legs, loops, bundles):
     for stay in range(L + 1):
         for split in range(L - stay + 1):
             moved = {h for loop in loops[stay + split :] for h in loop}
-            loop_choices.append((moved, tuple(loops[stay : stay + split])))
-    for leg_pick in product(*[((), (h,)) for h in legs]):
-        for bundle_pick in product(*bundle_choices):
-            attached = set(chain(*leg_pick, *bundle_pick))
-            for loop_moved, split_loops in loop_choices:
-                yield attached | loop_moved, split_loops
+            counts = (stay, split, L - stay - split)
+            loop_choices.append((counts, moved, tuple(loops[stay : stay + split])))
+    for legs_in in product((0, 1), repeat=len(legs)):
+        for counts in product(*bundle_choices):
+            attached = {h for h, b in zip(legs, legs_in) if b}
+            for halves, k in zip(bundles, counts):
+                attached.update(halves[:k])
+            for loop_counts, loop_moved, split_loops in loop_choices:
+                yield (legs_in, counts, loop_counts), attached | loop_moved, split_loops
 
 
 def _apply_split(X: StableGraph, v: int, ga: int, gb: int, moved, split_loops):

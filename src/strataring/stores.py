@@ -1,6 +1,6 @@
 """The memo stores of layers 2 and 3, and their one owner.
 
-A pairing fills four stores on demand:
+A pairing or a product fills five stores on demand:
 
 * ``structures._contraction_cache``: the contractions of each carrier;
 * ``structures._structure_cache``: the structures of a graph on a carrier,
@@ -8,10 +8,12 @@ A pairing fills four stores on demand:
 * ``algebra._pair_cache``: the carriers and mask partners of a pair of
   graphs;
 * ``pairing._split_cache``: the ``hodge_split`` of a carrier per
-  evaluation class.
+  evaluation class;
+* ``algebra._orbit_cache``: per carrier of a ``multiply``, its
+  automorphisms and the canonical key of each decorated class met on it.
 
 Each holds the graphs of its keys, so a store grows until it is cleared.
-:func:`gram`, :func:`rank_table` and :func:`verify_relation` clear all four
+:func:`gram`, :func:`rank_table` and :func:`verify_relation` clear all five
 when they return (:func:`clearing`); a lone ``multiply`` or
 ``integrate_product`` keeps them, so that a sequence of products reuses
 them.  ``integrals._tau_cache`` and ``integrals._kappa_cache`` hold vertex
@@ -32,6 +34,7 @@ def _stores() -> dict[str, dict]:
         "structures": structures._structure_cache,
         "pairs": algebra._pair_cache,
         "splits": pairing._split_cache,
+        "orbits": algebra._orbit_cache,
     }
 
 

@@ -287,6 +287,23 @@ class _Entry:
         return out
 
 
+def _automorphisms(A: StableGraph) -> list[tuple[tuple, tuple]]:
+    """The automorphisms of ``A`` as ``(half-edge map, vertex map)`` tuples,
+    read from the structures of ``A`` on itself: with no edge contracted,
+    a structure's ``beta`` is a permutation of the half-edges, and the
+    fibre over each vertex is one vertex, its image.  They come in the
+    order of the structures, so the identity, whose key is smallest, comes
+    first; there are ``A.aut_order`` of them."""
+    entry = _on(A, A)
+    c = entry.built((1 << A.n_edges) - 1)
+    where, low, halves = entry.where, entry.low, entry.halves
+    out = []
+    for key, fibres in zip(c.keys, c.fibres):
+        hmap = tuple(~w if w < 0 else halves[(key >> (w >> 1) & low) ^ (w & 1)] for w in where)
+        out.append((hmap, tuple(x for (x,) in fibres)))
+    return out
+
+
 def _edge_ends(G: StableGraph) -> list[tuple[int, int]]:
     return [(G.vertex_of[h1], G.vertex_of[h2]) for h1, h2 in G.edges]
 

@@ -5,6 +5,10 @@ Every generic pair structure is listed (``enumerate_generic_pairs``), its
 decorations are transported onto the carrier one pair at a time, and its
 contribution is expanded on its own.
 
+:func:`multiply_per_term` is the reference of the last step of
+``multiply``: it takes the canonical form of every raw term on its own,
+with no memo of the ``Aut(A)``-orbits.
+
 The structures themselves have a reference too: :func:`g_structures` and
 :func:`generic_pairs` build every structure as a ``GStructure`` with a
 ``beta`` dict straight from the fibre matches, which the engine keeps
@@ -16,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, product
 
-from strataring.algebra import DecoratedGraph, _expand_structure_raw
+from strataring.algebra import DecoratedGraph, FormalSum, _expand_structure_raw, _product_terms
 from strataring.structures import (
     GStructure,
     PairStructure,
@@ -165,3 +169,15 @@ def per_pair_tally(A, pairs, decoG, decoH) -> dict:
         else:
             seen[0] += 1
     return tally
+
+
+def multiply_per_term(x: FormalSum, y: FormalSum) -> FormalSum:
+    """``multiply`` with one canonical search per raw term: the raw terms of
+    ``_product_terms`` enter the result in their order, each a new
+    decorated graph keyed by its own search."""
+    out = FormalSum(x.g, x.n)
+    term_pairs = [(cG * cH, dG, dH) for cG, dG in x.terms.values() for cH, dH in y.terms.values()]
+    for A, raw in _product_terms(term_pairs):
+        for (psi, kappa), coeff in raw.items():
+            out._add(coeff, DecoratedGraph(A, psi, kappa))
+    return out

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
+from strataring import stores
 from strataring.enumeration import (
+    _apply_split,
+    _level,
+    _one_edge_refinements,
     common_refinements,
     decorated_basis,
     space_admits,
@@ -10,7 +16,8 @@ from strataring.enumeration import (
     top_degree,
     vertex_decoration_bound,
 )
-from strataring.graphs import build_graph
+from strataring.graphs import StableGraph, build_graph
+from strataring.structures import _automorphisms
 
 
 @pytest.mark.parametrize("space", ["ct", "rt"])
@@ -134,3 +141,125 @@ def test_closed_vertex_socle_rule():
     deg2_g6 = [d for d in decorated_basis(6, 0, 2, "rt") if d.graph.n_vertices == 1]
     monos6 = {d.kappa[0] for d in deg2_g6}
     assert ((2, 1),) in monos6 and ((1, 2),) in monos6
+
+
+# -- the sweep against one that canonicalizes every candidate -------------
+
+
+def _every_refinement(X: StableGraph):
+    """Every one-edge refinement of ``X``, mirror twins included: each unit
+    of vertex genus traded for a loop, then per vertex, per genus of the
+    old side, per leg moved or not, per count of moved halves of each
+    bundle of parallel edges, and per count of loops that stay and split,
+    one split."""
+    nh = X.n_halfedges
+    for v in range(X.n_vertices):
+        if X.genera[v] >= 1:
+            genera = list(X.genera)
+            genera[v] -= 1
+            yield StableGraph(
+                tuple(genera), X.vertex_of + (v, v), X.partner + (nh + 1, nh), X.legs
+            )
+    for v in range(X.n_vertices):
+        at = X.halfedges_at[v]
+        legs = [h for h in at if X.partner[h] == h]
+        loops = [(h, X.partner[h]) for h in at if X.vertex_of[X.partner[h]] == v and h < X.partner[h]]
+        bundles: dict[int, list[int]] = {}
+        for h in at:
+            w = X.vertex_of[X.partner[h]]
+            if X.partner[h] != h and w != v:
+                bundles.setdefault(w, []).append(h)
+        bundles = [bundles[w] for w in sorted(bundles)]
+        L = len(loops)
+        for ga in range(X.genera[v] + 1):
+            for leg_bits in product((0, 1), repeat=len(legs)):
+                for counts in product(*(range(len(b) + 1) for b in bundles)):
+                    for stay in range(L + 1):
+                        for split in range(L - stay + 1):
+                            moved = {h for h, bit in zip(legs, leg_bits) if bit}
+                            for halves, k in zip(bundles, counts):
+                                moved.update(halves[:k])
+                            moved.update(h for loop in loops[stay + split :] for h in loop)
+                            split_loops = loops[stay : stay + split]
+                            yield from _apply_split(
+                                X, v, ga, X.genera[v] - ga, moved, split_loops
+                            )
+
+
+def _reference_levels(g: int, n: int, space: str):
+    """``(graphs, above)`` of every edge count, each candidate
+    canonicalized: the first graph met of each class is kept."""
+    (G0,) = _level(g, n, 0, space).graphs
+    levels = [((G0,), ())]
+    for _ in range(3 * g - 3 + n):
+        found: dict[str, StableGraph] = {}
+        refined = []
+        for X in levels[-1][0]:
+            keys = set()
+            for Y in _every_refinement(X):
+                if space_admits(Y, space):
+                    keys.add(found.setdefault(Y.canonical_key, Y).canonical_key)
+            refined.append(keys)
+        graphs = tuple(found[k] for k in sorted(found))
+        position = {G.canonical_key: i for i, G in enumerate(graphs)}
+        levels.append((graphs, tuple(sum(1 << position[k] for k in keys) for keys in refined)))
+    return levels
+
+
+def _presentation(G: StableGraph):
+    return G.genera, G.vertex_of, G.partner, G.legs
+
+
+_SWEEPS = [
+    (4, 0, "mbar"),
+    (3, 1, "mbar"),
+    pytest.param(2, 3, "mbar", marks=pytest.mark.slow),
+    pytest.param(0, 7, "mbar", marks=pytest.mark.slow),
+    pytest.param(1, 5, "mbar", marks=pytest.mark.slow),
+    (5, 0, "ct"),
+    pytest.param(4, 2, "ct", marks=pytest.mark.slow),
+    (3, 3, "rt"),
+]
+
+
+@pytest.mark.parametrize("g, n, space", _SWEEPS)
+def test_the_sweep_keeps_what_canonicalizing_every_candidate_keeps(g, n, space):
+    # a skipped mirror split comes after its twin, so the kept graph of
+    # each class and the refinement masks are those of the full sweep
+    for e, (graphs, above) in enumerate(_reference_levels(g, n, space)):
+        level = _level(g, n, e, space)
+        assert [_presentation(G) for G in level.graphs] == [_presentation(G) for G in graphs]
+        assert level.above == above
+
+
+def test_each_split_is_tried_once_per_mirror_pair():
+    candidates = sum(
+        len(list(_one_edge_refinements(X)))
+        for e in range(9)
+        for X in stable_graphs(4, 0, e)
+    )
+    assert candidates <= 1618  # 2,726 with both splits of each mirror pair
+    every = sum(len(list(_every_refinement(X))) for e in range(9) for X in stable_graphs(4, 0, e))
+    assert every == 2726
+
+
+# -- automorphisms from the structures of a graph on itself ---------------
+
+
+@pytest.mark.parametrize("g, n, space", [(4, 0, "mbar"), (2, 2, "mbar"), (0, 6, "mbar"), (5, 1, "ct")])
+def test_automorphisms_of_every_graph_of_a_sweep(g, n, space):
+    for e in range(top_degree("mbar", g, n) + 1):
+        for A in stable_graphs(g, n, e, space):
+            auts = _automorphisms(A)
+            assert len(set(auts)) == len(auts) == A.aut_order
+            assert auts[0] == (tuple(range(A.n_halfedges)), tuple(range(A.n_vertices)))
+            for hmap, vmap in auts:
+                assert sorted(hmap) == list(range(A.n_halfedges))
+                assert sorted(vmap) == list(range(A.n_vertices))
+                assert all(A.partner[hmap[h]] == hmap[A.partner[h]] for h in range(A.n_halfedges))
+                assert all(A.vertex_of[hmap[h]] == vmap[A.vertex_of[h]] for h in range(A.n_halfedges))
+                assert all(A.genera[vmap[v]] == A.genera[v] for v in range(A.n_vertices))
+                assert all(hmap[h] == h for _, h in A.legs)
+    assert stores.sizes()["structures"] > 0
+    stores.clear()
+    assert not any(stores.sizes().values())

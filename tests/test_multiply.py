@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+from random import Random
+
+import pytest
+
 import strataring.canon as canon
+from strataring import stores
 from strataring.algebra import (
     FormalSum,
     _compositions,
     _expand_structure_raw,
     _multinomial,
+    _orbit_code,
+    _product_terms,
     multiply,
+    normalize,
 )
 from strataring.enumeration import decorated_basis
 from strataring.grammar import load_sum, sum_to_text
-from strataring.structures import enumerate_generic_pairs
+from strataring.structures import _automorphisms, enumerate_generic_pairs
 from conftest import dec
-from per_pair import pair_contributions, transport
+from per_pair import multiply_per_term, pair_contributions, transport
 
 
 def _per_structure_product(x: FormalSum, y: FormalSum) -> FormalSum:
@@ -224,3 +232,142 @@ def test_expansion_matches_the_recursive_reference_term_by_term(fixtures_dir):
     assert any(len(fibre) > 1 for _, _, jobs, _ in keys for fibre, _, _ in jobs)
     assert any(len(jobs) > 1 for _, _, jobs, _ in keys)
     assert any(len(common) > 1 for _, _, _, common in keys)
+
+
+# -- one canonical search per Aut(A)-orbit ----------------------------------
+
+
+def _assert_same_as_per_term(x: FormalSum, y: FormalSum) -> FormalSum:
+    """``multiply`` against one search per raw term: the same keys in the
+    same order, the same coefficients, and the same representative of each
+    class (the carrier object itself, its psi and its kappa)."""
+    reference = multiply_per_term(x, y)
+    product = multiply(x, y)
+    assert list(product.terms) == list(reference.terms)
+    for key, (c, d) in product.terms.items():
+        c_ref, d_ref = reference.terms[key]
+        assert c == c_ref
+        assert d.graph is d_ref.graph and (d.psi, d.kappa) == (d_ref.psi, d_ref.kappa)
+        assert d.aut_order == d_ref.aut_order
+    return product
+
+
+def _decorated_searches(monkeypatch) -> list:
+    calls = []
+    real = canon.canonical_data
+
+    def counted(g, psi=None, kappa=None):
+        if psi is not None:
+            calls.append(g)
+        return real(g, psi, kappa)
+
+    monkeypatch.setattr(canon, "canonical_data", counted)
+    return calls
+
+
+def _raw_terms_and_classes(x: FormalSum, y: FormalSum) -> tuple[int, int]:
+    """The raw terms of ``x * y`` and the distinct classes among them,
+    cancelled ones included: an isomorphism of two decorations of one
+    carrier is an automorphism of it, so these are its ``Aut(A)``-orbits."""
+    term_pairs = [(cG * cH, dG, dH) for cG, dG in x.terms.values() for cH, dH in y.terms.values()]
+    count, keys = 0, set()
+    for A, raw in _product_terms(term_pairs):
+        count += len(raw)
+        keys.update(canon.canonical_data(A, psi, kappa)[0] for psi, kappa in raw)
+    return count, len(keys)
+
+
+def test_the_worked_product_searches_once_per_orbit(fixtures_dir, monkeypatch):
+    g = load_sum(str(fixtures_dir / "worked_product_g.sum"))
+    h = load_sum(str(fixtures_dir / "worked_product_h.sum"))
+    raw_terms, classes = _raw_terms_and_classes(g, h)
+    assert classes < raw_terms
+    stores.clear()
+    calls = _decorated_searches(monkeypatch)
+    assert len(multiply(g, h)) == 7
+    assert len(calls) == classes
+    calls.clear()
+    multiply(h, g)
+    assert calls == []  # the memo outlives a call
+    _assert_same_as_per_term(g, h)
+    _assert_same_as_per_term(h, g)
+    assert stores.sizes()["orbits"] > 0
+    stores.clear()
+    assert stores.sizes()["orbits"] == 0
+
+
+def _relabeled(d, rng):
+    vertices = list(range(d.graph.n_vertices))
+    halves = list(range(d.graph.n_halfedges))
+    rng.shuffle(vertices)
+    rng.shuffle(halves)
+    return d.relabeled(dict(enumerate(halves)), dict(enumerate(vertices)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_divisor_triples_of_genus_two(seed):
+    # the two boundary divisors of M_2-bar, presented at random, in random
+    # combinations; the associativity products of the benchmark
+    divisors = [dec([1], [(0, 0)]), dec([1, 1], [(0, 1)])]
+    rng = Random(seed)
+    x, y, z = (
+        FormalSum(2, 0, [(rng.choice((-3, -2, -1, 1, 2, 3)), _relabeled(d, rng)) for d in divisors])
+        for _ in range(3)
+    )
+    stores.clear()
+    xy = _assert_same_as_per_term(x, y)
+    yz = _assert_same_as_per_term(y, z)
+    _assert_same_as_per_term(y, x)
+    _assert_same_as_per_term(normalize(xy), z)
+    _assert_same_as_per_term(x, normalize(yz))
+
+
+def test_the_genus_five_relation_squared(fixtures_dir, monkeypatch):
+    relation = load_sum(str(fixtures_dir / "g5_relation.sum"))
+    raw_terms, classes = _raw_terms_and_classes(relation, relation)
+    assert classes < raw_terms
+    stores.clear()
+    calls = _decorated_searches(monkeypatch)
+    square = multiply(relation, relation)
+    assert len(calls) == classes
+    stores.clear()
+    assert _assert_same_as_per_term(relation, relation) == square
+
+
+def test_a_carrier_with_loop_flips():
+    # a genus-0 vertex with a loop and one leg: Aut is the loop flip, which
+    # exchanges the raw terms psi on one half of the loop and on the other
+    loop = dec([0], [(0, 0)], legs={1: 0}, psi={0: 1})
+    A = multiply_per_term(FormalSum.unit(loop), FormalSum.unit(loop)).items()[0][1].graph
+    auts = _automorphisms(A)
+    assert len(auts) == A.aut_order == 2
+    (h1, h2), = A.edges
+    assert [hmap[h1] for hmap, _ in auts] == [h1, h2]
+    stores.clear()
+    square = _assert_same_as_per_term(FormalSum.unit(loop), FormalSum.unit(loop))
+    # -psi_1 - psi_2 times psi_1: psi_1^2 and psi_1 psi_2 are one orbit each
+    assert len(square) == 2
+    # a loop with other graphs: the flips of two loops and their swap
+    two_loops = dec([0], [(0, 0), (0, 0)], legs={1: 0}, psi={0: 2, 3: 1})
+    divisor = dec([0, 1], [(0, 0), (0, 1)], legs={1: 1})
+    _assert_same_as_per_term(FormalSum.unit(two_loops), FormalSum.unit(divisor))
+    _assert_same_as_per_term(FormalSum.unit(divisor), FormalSum(2, 1, [(1, two_loops), (-2, divisor)]))
+
+
+def test_exponents_that_do_not_fit_a_byte():
+    # 300 and 44 agree modulo 256: a code that wrapped would merge them
+    assert _orbit_code((300, 0), ((),)) == ((300, 0), ((),))
+    assert _orbit_code((44, 0), ((),)) == bytes((44, 0))
+    assert _orbit_code((1, 0), (((300, 1),),)) != _orbit_code((1, 0), (((44, 1),),))
+    terms = [
+        (1, dec([0], [(0, 0)], legs={1: 0}, psi={2: 300})),
+        (1, dec([0], [(0, 0)], legs={1: 0}, psi={2: 44})),
+        (3, dec([0], [(0, 0)], legs={1: 0}, psi={0: 256, 2: 1})),
+    ]
+    x = FormalSum(1, 1, terms)
+    loop = FormalSum.unit(dec([0], [(0, 0)], legs={1: 0}))
+    stores.clear()
+    for _ in range(2):  # cold, then from the memo
+        product = _assert_same_as_per_term(x, loop)
+        legs = {d.psi[d.graph.leg_of_label[1]] for _, d in product.terms.values()}
+        assert legs == {300, 44, 1}
