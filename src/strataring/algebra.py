@@ -589,6 +589,8 @@ def multiply(x: FormalSum, y: FormalSum) -> FormalSum:
     one class, so a canonical search runs once per ``Aut(A)``-orbit: each
     raw term is read through every automorphism (:func:`_orbits`), and the
     ``(key, aut order)`` of the smallest reading is memoized across calls.
+    A :class:`DecoratedGraph` is built only for a raw term that starts a
+    class of the result; the others add to its coefficient.
     """
     if (x.g, x.n) != (y.g, y.n):
         raise SpaceMismatch("factors live on different moduli spaces")
@@ -600,7 +602,6 @@ def multiply(x: FormalSum, y: FormalSum) -> FormalSum:
         gathers, memo = _orbits(A)
         nh = A.n_halfedges
         for (psi, kappa), coeff in raw.items():
-            d = DecoratedGraph(A, psi, kappa)
             if gathers:
                 least = min([gather(psi + kappa) for gather in gathers])
                 code = _orbit_code(least[:nh], least[nh:])
@@ -608,9 +609,13 @@ def multiply(x: FormalSum, y: FormalSum) -> FormalSum:
                 code = _orbit_code(psi, kappa)
             known = memo.get(code)
             if known is None:
-                memo[code] = d._canon
-            else:  # the class is known: the raw term takes its key unsearched
+                known = memo[code] = canon.canonical_data(A, psi, kappa)[:2]
+            entry = out.terms.get(known[0])
+            if entry is None:
+                d = DecoratedGraph(A, psi, kappa)
                 d.__dict__["_canon"] = known
+            else:  # the class's representative; only the coefficient changes
+                d = entry[1]
             out._add(coeff, d)
     return out
 

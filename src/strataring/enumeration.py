@@ -1,35 +1,36 @@
 """Enumeration of stable graphs and decorated spanning sets.
 
-``stable_graphs(g, n, e, space)`` lists one representative per
-isomorphism class with exactly ``e`` edges that the space admits (all
-graphs, trees only, or trees with a single positive-genus vertex).
-Graphs with ``e`` edges are generated from those with ``e - 1`` by undoing
-an edge contraction (splitting a vertex, or trading a unit of vertex genus
-for a self-loop), and a refinement the space does not admit is dropped
-before its canonical form is taken.  The two sides of a vertex split are
-interchangeable, so of a split and its mirror only the first is tried.
-Contracting any edge of a stable graph is again stable, and contracting
-an edge of a tree (with one positive-genus vertex) gives a tree (with one
-positive-genus vertex), so the sweep is exhaustive in each space.
+The graphs with ``e`` edges are generated from those with ``e - 1`` by
+undoing an edge contraction (splitting a vertex, or trading a unit of
+vertex genus for a self-loop), and a refinement the space (all graphs,
+trees only, or trees with a single positive-genus vertex) does not admit
+is dropped before its canonical form is taken.  The two sides of a vertex
+split are interchangeable, so of a split and its mirror only the first is
+tried.  Contracting any edge of a stable graph is again stable, and
+contracting an edge of a tree (with one positive-genus vertex) gives a
+tree (with one positive-genus vertex), so every graph of a space above a
+class is reached from it one edge at a time.
 
-The sweep keeps what it learns on the way: which classes with ``e``
-edges refine each class with ``e - 1`` edges, as bit masks over the kept
-representatives.  ``common_refinements`` walks that relation up from two
-graphs to the carriers of their product.
+One memo per process keeps that one-edge refinement relation: per class
+and space, the interned graphs one edge above it (see
+:func:`graphs.intern`), and then, level by level as they are asked for,
+the graphs two, three, ... edges above it (:func:`_closure`).
+``stable_graphs`` reads the levels above the one-vertex graph, and
+``common_refinements`` those above one factor of a product.
 
-``decorated_basis`` takes the graphs of its space from that sweep and
-decorates vertices with psi/kappa monomials below the
+``decorated_basis`` takes the graphs of its space from ``stable_graphs``
+and decorates vertices with psi/kappa monomials below the
 boundary-expressibility bound
 ``codim(theta_v) < g(v) + [g(v)=0] - [n(v)=0]``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 from .algebra import DecoratedGraph, _compositions
-from .graphs import StableGraph, build_graph
+from .graphs import StableGraph, build_graph, intern
+from .structures import _sitting_on
 
 SPACES = ("mbar", "ct", "rt")
 
@@ -65,101 +66,73 @@ def stable_graphs(
     g: int, n: int, edges: int, space: str = "mbar"
 ) -> tuple[StableGraph, ...]:
     """All stable graphs of total genus ``g`` with legs ``1..n`` and the
-    given edge count that ``space`` admits, one per isomorphism class,
-    sorted by canonical key; ``()`` above ``3g - 3 + n`` edges, the most
-    a stable graph has.
-
-    Each graph with ``e`` edges is met as a one-edge refinement of a graph
-    with ``e - 1`` edges, so the sweep also keeps, for each graph with
-    ``e - 1`` edges, the kept graphs that contract one edge onto it
-    (see :func:`common_refinements`).  It keeps no candidate it drops."""
-    return _level(g, n, edges, space).graphs
-
-
-def _level(g: int, n: int, edges: int, space: str) -> _Level:
+    given edge count that ``space`` admits, one interned graph per
+    isomorphism class, sorted by canonical key; ``()`` above ``3g - 3 + n``
+    edges, the most a stable graph has.  They are the graphs ``edges``
+    levels above the one-vertex graph in the refinement relation
+    (:func:`_closure`), and a repeated call returns the same tuple."""
     top_degree(space, g, n)  # rejects an unknown space and a negative or unstable (g, n)
     if edges < 0:
         raise ValueError("negative edge count")
-    if edges > 3 * g - 3 + n:
-        return _Level(())  # no stable graph has more edges: nothing to sweep
-    if g == 0 and space == "ct":
-        space = "mbar"  # every genus-0 graph is a tree: share one sweep
-    return _stable_graphs(g, n, edges, space)
+    G = _roots.get((g, n))
+    if G is None:
+        G = _roots[g, n] = intern(build_graph([g], legs={i: 0 for i in range(1, n + 1)}))[0]
+    if edges > 3 * g - 3 + n or not space_admits(G, space):
+        return ()
+    levels = _closure(G, space, edges)
+    return levels[edges] if edges < len(levels) else ()
 
 
-class _Level:
-    """The graphs of one edge count, sorted by canonical key, and the
-    position of each by its key.  ``above[i]`` is the bit mask of the
-    positions of the graphs here that contract one edge onto graph ``i``
-    of the level below."""
+# (g, n) -> the interned one-vertex graph, from which every sweep starts
+_roots: dict[tuple[int, int], StableGraph] = {}
 
-    __slots__ = ("graphs", "position", "above")
-
-    def __init__(self, graphs: tuple[StableGraph, ...], refined=()):
-        self.graphs = graphs
-        self.position = {G.canonical_key: i for i, G in enumerate(graphs)}
-        self.above = tuple(sum(1 << self.position[k] for k in keys) for keys in refined)
+# (canonical key, space) -> the levels of the class (see _closure)
+_relation: dict[tuple, list[tuple[StableGraph, ...]]] = {}
 
 
-# cached on the normalized arguments, so that every spelling of one request
-# returns the same objects (``structures`` caches by object identity)
-@lru_cache(maxsize=None)
-def _stable_graphs(g: int, n: int, edges: int, space: str) -> _Level:
-    if edges == 0:
-        G = build_graph([g], legs={i: 0 for i in range(1, n + 1)})
-        return _Level((G,) if space_admits(G, space) else ())
-    found: dict[str, StableGraph] = {}
-    refined = []  # per graph below, the keys of the kept graphs above it
-    for X in stable_graphs(g, n, edges - 1, space):
-        keys = set()
-        for Y in _one_edge_refinements(X):
-            if space_admits(Y, space):
-                # the kept graph's own key, so that no candidate stays alive
-                keys.add(found.setdefault(Y.canonical_key, Y).canonical_key)
-        refined.append(keys)
-    return _Level(tuple(found[k] for k in sorted(found)), refined)
+def _closure(X: StableGraph, space: str, top: int) -> list[tuple[StableGraph, ...]]:
+    """The levels of the graphs of ``space`` above the class of ``X``,
+    from ``e(X)`` edges on, filled at least to ``top`` edges or to the
+    first empty level, each sorted by canonical key.  Level 0 is the
+    interned representative of ``X`` and level 1 its one-edge refinements;
+    a higher level joins level 1 of the classes of the level below.  The
+    levels are kept for the process and appended to when a larger ``top``
+    is asked for."""
+    if X.genus == 0 and space == "ct":
+        space = "mbar"  # every genus-0 graph is a tree: share one relation
+    levels = _relation.get((X.canonical_key, space))
+    if levels is None:
+        levels = _relation[X.canonical_key, space] = [(intern(X)[0],)]
+    while len(levels) <= top - X.n_edges and levels[-1]:
+        if len(levels) == 1:
+            refined = _one_edge_refinements(levels[0][0])
+            found = {Y.canonical_key: Y for Y in refined if space_admits(Y, space)}
+            found = {key: intern(Y)[0] for key, Y in found.items()}
+        else:
+            above = (_closure(Y, space, Y.n_edges + 1)[1] for Y in levels[-1])
+            found = {A.canonical_key: A for level in above for A in level}
+        levels.append(tuple(found[key] for key in sorted(found)))
+    return levels
 
 
 def common_refinements(G: StableGraph, H: StableGraph, space: str):
-    """The graphs of the sweep of ``space`` with at most ``e(G) + e(H)``
-    edges (and at most ``3g - 3 + n``) that contract onto both ``G`` and
-    ``H``, in the order of :func:`stable_graphs` by edge count.  ``space``
-    must admit both.
+    """The interned graphs of ``space`` with at most ``e(G) + e(H)`` edges
+    (and at most ``3g - 3 + n``) that contract onto both ``G`` and ``H``,
+    in the order of :func:`stable_graphs` by edge count.  ``space`` must
+    admit both.
 
     A graph ``A`` contracts onto ``G`` when ``G`` is ``A`` with some edges
     contracted.  Such a contraction factors into single-edge contractions
     through graphs of the space (every space is closed under contraction),
-    and the sweep meets a graph of every class that contracts one edge
-    onto a graph it keeps.  So the graphs above ``G`` are found by walking
-    the kept relation up from the class of ``G``, one edge count at a
-    time, and any presentation of ``G`` finds them."""
-    g, n = G.genus, G.n_legs
-    lo, top = max(G.n_edges, H.n_edges), min(G.n_edges + H.n_edges, 3 * g - 3 + n)
-    levels = [stable_graphs(g, n, e, space) for e in range(lo, top + 1)]
-    masks = [_masks_above(F, space, lo, top) for F in (G, H)]
-    for graphs, m, k in zip(levels, *masks):
-        both = m & k
-        while both:
-            low = both & -both
-            yield graphs[low.bit_length() - 1]
-            both ^= low
-
-
-def _masks_above(F: StableGraph, space: str, lo: int, top: int) -> list[int]:
-    """Per edge count from ``lo >= e(F)`` to ``top``, the bit mask of the
-    positions of the graphs of the sweep that contract onto ``F``."""
-    g, n, e = F.genus, F.n_legs, F.n_edges
-    mask = 1 << _level(g, n, e, space).position[F.canonical_key]
-    out = [mask]
-    for above in (_level(g, n, d, space).above for d in range(e + 1, top + 1)):
-        up = 0
-        while mask:
-            low = mask & -mask
-            up |= above[low.bit_length() - 1]
-            mask ^= low
-        mask = up
-        out.append(mask)
-    return out[lo - e:]
+    so the graphs above ``G`` are the levels of :func:`_closure` of its
+    class, and any presentation of ``G`` finds them.  They are walked up
+    from the factor with more edges, the shorter walk, and a graph is kept
+    when the other factor sits on it (``structures._sitting_on``)."""
+    if G.n_edges < H.n_edges:
+        G, H = H, G
+    top = min(G.n_edges + H.n_edges, 3 * G.genus - 3 + G.n_legs)
+    levels = _closure(G, space, top)[: top - G.n_edges + 1]
+    return _sitting_on(H, (A for level in levels for A in level))
 
 
 def _one_edge_refinements(X: StableGraph):

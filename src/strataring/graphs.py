@@ -271,10 +271,11 @@ def intern(g: StableGraph) -> tuple[StableGraph, dict[int, int], dict[int, int]]
     """Return ``(representative, halfedge_map, vertex_map)`` for ``g``."""
     from . import canon
 
-    key, _, order = g._canon
+    key, aut, order = g._canon
     hmap, vmap = canon.ordering_maps(g, order)
     rep = _registry.get(key)
     if rep is None:
-        rep = g.relabeled(hmap, vmap)
-        _registry[key] = rep
+        rep = _registry[key] = g.relabeled(hmap, vmap)
+        # the identity order attains the key on the relabeled graph
+        rep.__dict__["_canon"] = (key, aut, tuple(range(g.n_vertices)))
     return rep, hmap, vmap

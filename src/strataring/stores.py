@@ -1,6 +1,6 @@
 """The memo stores of layers 2 and 3, and their one owner.
 
-A pairing or a product fills five stores on demand:
+A pairing or a product fills six stores on demand:
 
 * ``structures._contraction_cache``: the contractions of each carrier;
 * ``structures._structure_cache``: the structures of a graph on a carrier,
@@ -10,14 +10,20 @@ A pairing or a product fills five stores on demand:
 * ``pairing._split_cache``: the ``hodge_split`` of a carrier per
   evaluation class;
 * ``algebra._orbit_cache``: per carrier of a ``multiply``, its
-  automorphisms and the canonical key of each decorated class met on it.
+  automorphisms and the canonical key of each decorated class met on it;
+* ``structures._fibre_key_cache``: per class of a graph offered as a
+  carrier and edge count of the graph tested on it, the fibre keys of
+  the contractions between them.
 
-Each holds the graphs of its keys, so a store grows until it is cleared.
-:func:`gram`, :func:`rank_table` and :func:`verify_relation` clear all five
-when they return (:func:`clearing`); a lone ``multiply`` or
-``integrate_product`` keeps them, so that a sequence of products reuses
-them.  ``integrals._tau_cache`` and ``integrals._kappa_cache`` hold vertex
-integrals, which do not depend on a graph, and stay.
+Each holds the graphs of its keys or their contractions, so a store grows
+until it is cleared.  :func:`gram`, :func:`rank_table` and
+:func:`verify_relation` clear all six when they return (:func:`clearing`);
+a lone ``multiply`` or ``integrate_product`` keeps them, so that a
+sequence of products reuses them.  Three memos last for the process and
+are not stores: ``integrals._tau_cache`` and ``integrals._kappa_cache``
+hold vertex integrals, which do not depend on a graph, and
+``enumeration._relation`` holds the one-edge refinement relation of the
+classes met, over the interned graphs of ``graphs._registry``.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ def _stores() -> dict[str, dict]:
         "pairs": algebra._pair_cache,
         "splits": pairing._split_cache,
         "orbits": algebra._orbit_cache,
+        "fibres": structures._fibre_key_cache,
     }
 
 

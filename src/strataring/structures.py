@@ -25,7 +25,9 @@ with every one with a partner mask ``n``, with the common edges of
 the masks that have a partner; the product pipeline counts pairs from
 them side by side, and :func:`enumerate_generic_pairs` lists the pairs.
 The carriers tried are the graphs that contract onto both ``G`` and
-``H``, read from the refinement relation that the graph sweep keeps.
+``H``: those above the factor with more edges in the one-edge refinement
+relation that ``enumeration`` keeps, on which the other factor sits
+(:func:`_sitting_on`).
 
 The engine keeps structures in a compact form (:class:`_Entry`): per
 contraction, the sorted int keys that pack one code ``2 * A-edge +
@@ -413,6 +415,48 @@ def _contractions(A: StableGraph, d: int) -> dict[tuple, list[tuple]]:
     return table
 
 
+# (canonical key of A, edge count of the graph tested) -> fibre keys
+_fibre_key_cache: dict[tuple, set] = {}
+
+
+def _fibre_key(sigs, vertex_of_leg) -> tuple:
+    """The sorted ``(signature, leg labels)`` of the vertices of a graph
+    or of the fibres of a contraction, given the vertex or fibre of each
+    leg in label order."""
+    labels = [[] for _ in sigs]
+    for label, v in vertex_of_leg:
+        labels[v].append(label)
+    return tuple(sorted(zip(sigs, map(tuple, labels))))
+
+
+def _sitting_on(G: StableGraph, graphs):
+    """The graphs ``A`` of ``graphs`` that ``G`` has a structure on.
+
+    A structure of ``G`` on ``A`` sends each ``G``-vertex to a fibre of its
+    contraction with the same signature (:func:`_vertex_signatures`) and
+    leg labels, so ``A`` is skipped when no contraction of ``e(A) - e(G)``
+    edges has the fibre key of ``G``; no entry of :func:`_on` is made for
+    it.  The fibre keys are kept per class of ``A`` and ``e(G)``, not with
+    the tables of :func:`_contractions`: those are keyed without the leg
+    labels, and graphs that differ only in where their legs sit share
+    them.  A graph with the fibre key of ``G`` is checked exactly by
+    :func:`_on`."""
+    legs = [(label, G.vertex_of[h]) for label, h in G.legs]
+    key_G = _fibre_key(_vertex_signatures(G.genera, _edge_ends(G)), legs)
+    eG = G.n_edges
+    for A in graphs:
+        keys = _fibre_key_cache.get((A.canonical_key, eG))
+        if keys is None:
+            legs_A = [(label, A.vertex_of[h]) for label, h in A.legs]
+            keys = _fibre_key_cache[A.canonical_key, eG] = {
+                _fibre_key(sigs, [(label, comp[x]) for label, x in legs_A])
+                for records in _contractions(A, A.n_edges - eG).values()
+                for comp, sigs, _, _, _ in records
+            }
+        if key_G in keys and _on(G, A).contractions:
+            yield A
+
+
 def enumerate_generic_pairs(
     G: StableGraph, H: StableGraph
 ) -> list[tuple[StableGraph, list[PairStructure]]]:
@@ -457,13 +501,13 @@ def _generic_carriers(G: StableGraph, H: StableGraph) -> list[tuple[StableGraph,
     the path between them is left uncovered.
 
     Within that space the graphs above both ``G`` and ``H`` in the
-    one-edge refinement relation of the sweep are tried
+    one-edge refinement relation are tried
     (:func:`enumeration.common_refinements`); they are all the carriers
     with a structure of each.  A structure of ``G`` on ``A`` exists
     exactly when ``G`` is ``A`` with some edges contracted, which factors
     into single-edge contractions through graphs of the space (it is
-    closed under contraction), and the sweep meets a graph of every class
-    ``Y`` with ``Y/e`` isomorphic to a graph it keeps.  So ``A`` lies above
+    closed under contraction), and the relation holds every class ``Y``
+    with ``Y/e`` isomorphic to a class it holds.  So ``A`` lies above
     ``G``; conversely, every graph above ``G`` contracts onto it.  The
     carriers, their order and their pairs are those of a scan over every
     graph of the space in the edge range.
@@ -482,8 +526,8 @@ def _generic_carriers(G: StableGraph, H: StableGraph) -> list[tuple[StableGraph,
     return out
 
 
-# keyed by object identity: callers pass interned representatives and the
-# memoized generator's instances, both of which live for the process.
+# keyed by object identity: callers pass interned representatives, which
+# live for the process.
 # Each entry is the _Entry of (G, A), which holds both graphs.
 _structure_cache: dict[tuple[int, int], _Entry] = {}
 

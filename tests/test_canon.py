@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from strataring import canon
+from strataring import canon, graphs
 from strataring.enumeration import stable_graphs
 from strataring.graphs import StableGraph, build_graph, intern
 
@@ -363,8 +363,17 @@ def test_interning_a_fresh_graph_searches_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(canon, "_search", counted)
+    monkeypatch.setattr(graphs, "_registry", {})
     G = build_graph([0, 1, 1], [(0, 1), (0, 2), (0, 0)], legs={1: 0})
     rep, hmap, vmap = intern(G)
+    # the representative carries the canonical data of the graph it came from
+    key, aut = rep.canonical_key, rep.aut_order
     assert len(calls) == 1
-    assert isinstance(rep, StableGraph) and rep.canonical_key == G.canonical_key
+    assert isinstance(rep, StableGraph) and key == G.canonical_key
     assert G.relabeled(hmap, vmap).partner == rep.partner
+    monkeypatch.setattr(canon, "_search", real)
+    assert (key, aut) == canon.canonical_data(rep)[:2]
+    # its vertex order attains the key: interning it again changes nothing
+    assert rep._canon[2] == tuple(range(rep.n_vertices))
+    again, hmap2, vmap2 = intern(rep)
+    assert again is rep and rep.relabeled(hmap2, vmap2).partner == rep.partner

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from strataring import stores
+from strataring import enumeration, stores
+from strataring.algebra import DecoratedGraph, FormalSum
 from strataring.enumeration import (
     _apply_split,
-    _level,
+    _closure,
     _one_edge_refinements,
     common_refinements,
     decorated_basis,
@@ -16,8 +21,12 @@ from strataring.enumeration import (
     top_degree,
     vertex_decoration_bound,
 )
-from strataring.graphs import StableGraph, build_graph
+from strataring.grammar import load_sum
+from strataring.graphs import StableGraph, build_graph, intern
+from strataring.pairing import integrate_product
 from strataring.structures import _automorphisms
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.parametrize("space", ["ct", "rt"])
@@ -187,10 +196,11 @@ def _every_refinement(X: StableGraph):
 
 
 def _reference_levels(g: int, n: int, space: str):
-    """``(graphs, above)`` of every edge count, each candidate
-    canonicalized: the first graph met of each class is kept."""
-    (G0,) = _level(g, n, 0, space).graphs
-    levels = [((G0,), ())]
+    """``(graphs, refined)`` of every edge count, each candidate
+    canonicalized: the first graph met of each class is kept, and
+    ``refined`` holds, per graph of the level below, the keys of the
+    graphs here that contract one edge onto it."""
+    levels = [(stable_graphs(g, n, 0, space), ())]
     for _ in range(3 * g - 3 + n):
         found: dict[str, StableGraph] = {}
         refined = []
@@ -200,14 +210,8 @@ def _reference_levels(g: int, n: int, space: str):
                 if space_admits(Y, space):
                     keys.add(found.setdefault(Y.canonical_key, Y).canonical_key)
             refined.append(keys)
-        graphs = tuple(found[k] for k in sorted(found))
-        position = {G.canonical_key: i for i, G in enumerate(graphs)}
-        levels.append((graphs, tuple(sum(1 << position[k] for k in keys) for keys in refined)))
+        levels.append((tuple(found[k] for k in sorted(found)), refined))
     return levels
-
-
-def _presentation(G: StableGraph):
-    return G.genera, G.vertex_of, G.partner, G.legs
 
 
 _SWEEPS = [
@@ -224,12 +228,16 @@ _SWEEPS = [
 
 @pytest.mark.parametrize("g, n, space", _SWEEPS)
 def test_the_sweep_keeps_what_canonicalizing_every_candidate_keeps(g, n, space):
-    # a skipped mirror split comes after its twin, so the kept graph of
-    # each class and the refinement masks are those of the full sweep
-    for e, (graphs, above) in enumerate(_reference_levels(g, n, space)):
-        level = _level(g, n, e, space)
-        assert [_presentation(G) for G in level.graphs] == [_presentation(G) for G in graphs]
-        assert level.above == above
+    # a skipped mirror split has a twin that was tried, so each level has
+    # the classes of the full sweep, and each class the same graphs one
+    # edge above it; the graphs kept are the interned representatives
+    levels = _reference_levels(g, n, space)
+    for e, (graphs, refined) in enumerate(levels):
+        kept = stable_graphs(g, n, e, space)
+        assert [G.canonical_key for G in kept] == [G.canonical_key for G in graphs]
+        assert all(G is intern(G)[0] for G in kept)
+        for X, keys in zip(levels[e - 1][0] if e else (), refined):
+            assert {A.canonical_key for A in _closure(X, space, e)[1]} == keys
 
 
 def test_each_split_is_tried_once_per_mirror_pair():
@@ -263,3 +271,63 @@ def test_automorphisms_of_every_graph_of_a_sweep(g, n, space):
     assert stores.sizes()["structures"] > 0
     stores.clear()
     assert not any(stores.sizes().values())
+
+
+# -- the walk of a product -------------------------------------------------
+
+
+def _m4_six_edge_class():
+    # two genus-1 vertices and three genus-0 ones, joined by six edges
+    return build_graph([1, 0, 1, 0, 0], [(1, 4), (3, 4), (0, 1), (3, 2), (1, 3), (3, 4)])
+
+
+def test_a_product_on_m4_walks_up_from_the_larger_factor(monkeypatch, fixtures_dir):
+    # the carriers of the 33-term relation against a 6-edge class lie above
+    # that class: the walk refines 8 classes, not the 379 of M_4-bar
+    refined = []
+    real = enumeration._one_edge_refinements
+
+    def counted(X):
+        refined.append(X.canonical_key)
+        return real(X)
+
+    stores.clear()
+    monkeypatch.setattr(enumeration, "_relation", {})
+    monkeypatch.setattr(enumeration, "_one_edge_refinements", counted)
+    relation = load_sum(str(fixtures_dir / "m4_relation.sum"))
+    B = FormalSum.unit(DecoratedGraph(_m4_six_edge_class()))
+    assert integrate_product(relation, B, "mbar") == 0
+    assert 0 < len(refined) == len(set(refined)) <= 10
+    stores.clear()
+
+
+_PRESENTATIONS = """
+from strataring.enumeration import stable_graphs
+print([[(G.genera, G.vertex_of, G.partner, G.legs) for G in stable_graphs(4, 0, e)]
+       for e in range(10)])
+"""
+
+_PRODUCT_FIRST = """
+from strataring import DecoratedGraph, FormalSum, load_sum
+from strataring.graphs import build_graph
+from strataring.pairing import integrate_product
+relation = load_sum({path!r})
+B = build_graph([1, 0, 1, 0, 0], [(1, 4), (3, 4), (0, 1), (3, 2), (1, 3), (3, 4)])
+assert integrate_product(relation, FormalSum.unit(DecoratedGraph(B)), "mbar") == 0
+"""
+
+
+def test_the_graphs_of_a_sweep_do_not_depend_on_an_earlier_product(fixtures_dir):
+    # every graph kept is the interned representative of its class, so a
+    # product that met some classes first leaves the same presentations
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    product_first = _PRODUCT_FIRST.format(path=str(fixtures_dir / "m4_relation.sum"))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+            check=True,
+        ).stdout
+        for code in (_PRESENTATIONS, product_first + _PRESENTATIONS)
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 import strataring.canon as canon
-from strataring import stores
+from strataring import algebra, stores
 from strataring.algebra import (
     FormalSum,
     _compositions,
@@ -332,6 +332,46 @@ def test_the_genus_five_relation_squared(fixtures_dir, monkeypatch):
     assert len(calls) == classes
     stores.clear()
     assert _assert_same_as_per_term(relation, relation) == square
+
+
+def _class_starts(x: FormalSum, y: FormalSum) -> tuple[int, int]:
+    """The raw terms of ``x * y`` and how many of them start a class of the
+    result: the first of a class, or the first after its terms cancel."""
+    term_pairs = [(cG * cH, dG, dH) for cG, dG in x.terms.values() for cH, dH in y.terms.values()]
+    count, running, starts = 0, {}, 0
+    for A, raw in _product_terms(term_pairs):
+        count += len(raw)
+        for (psi, kappa), c in raw.items():
+            key = canon.canonical_data(A, psi, kappa)[0]
+            starts += key not in running
+            running[key] = running.get(key, 0) + c
+            if running[key] == 0:
+                del running[key]
+    return count, starts
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [("g5_relation.sum", "g5_relation.sum"), ("worked_product_g.sum", "worked_product_h.sum")],
+)
+def test_a_decorated_graph_is_built_only_when_a_class_starts(left, right, fixtures_dir, monkeypatch):
+    x, y = (load_sum(str(fixtures_dir / name)) for name in (left, right))
+    raw_terms, starts = _class_starts(x, y)
+    assert starts < raw_terms
+    built = []
+
+    class Counted(algebra.DecoratedGraph):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(algebra, "DecoratedGraph", Counted)
+    multiply(x, y)
+    assert len(built) == starts
+    monkeypatch.undo()
+    _assert_same_as_per_term(x, y)
 
 
 def test_a_carrier_with_loop_flips():

@@ -24,7 +24,7 @@ def _fill():
 def test_every_store_is_owned_and_a_lone_pairing_keeps_them():
     stores.clear()
     assert stores.sizes() == {
-        "contractions": 0, "structures": 0, "pairs": 0, "splits": 0, "orbits": 0
+        "contractions": 0, "structures": 0, "pairs": 0, "splits": 0, "orbits": 0, "fibres": 0
     }
     _fill()
     stores.clear()

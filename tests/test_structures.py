@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_pair
-from strataring import structures
+from strataring import stores, structures
 from strataring.algebra import _side_groups
 from strataring.enumeration import (
     common_refinements,
@@ -197,6 +197,46 @@ def _reversal(G):
         {h: G.n_halfedges - 1 - h for h in range(G.n_halfedges)},
         {v: G.n_vertices - 1 - v for v in range(G.n_vertices)},
     )
+
+
+@pytest.mark.parametrize("g, n", [(0, 6), (1, 4), (2, 2)])
+def test_common_refinements_of_small_and_large_factors(g, n):
+    # the walk goes up from the factor with more edges and keeps the graphs
+    # the other one sits on; with four or more legs, graphs that differ
+    # only in where their legs sit share a contraction table and must not
+    # share fibre keys
+    stores.clear()
+    top = top_degree("mbar", g, n)
+    sits: dict[tuple, bool] = {}
+
+    def on(X, A):
+        key = (X.canonical_key, A.canonical_key)
+        if key not in sits:
+            sits[key] = bool(enumerate_g_structures(X, A))
+        return sits[key]
+
+    small = [G for e in range(2) for G in stable_graphs(g, n, e)]
+    large = [H for e in range(3, min(5, top) + 1) for H in stable_graphs(g, n, e)]
+    for G in small:
+        for H in large:
+            want = [
+                A
+                for e in range(H.n_edges, min(G.n_edges + H.n_edges, top) + 1)
+                for A in stable_graphs(g, n, e)
+                if on(G, A) and on(H, A)
+            ]
+            H2 = H.relabeled(*_reversal(H))
+            for got in (
+                common_refinements(G, H, "mbar"),
+                common_refinements(H, G, "mbar"),
+                common_refinements(H2, G, "mbar"),
+            ):
+                got = list(got)
+                assert len(got) == len(want) and all(a is b for a, b in zip(got, want)), (G, H)
+    # a graph the fibre keys rule out gets no entry of the structure store
+    entries = structures._structure_cache.values()
+    assert entries and all(entry.contractions for entry in entries)
+    stores.clear()
 
 
 def test_only_carriers_above_both_graphs_are_tried(monkeypatch):
