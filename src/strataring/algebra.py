@@ -42,7 +42,7 @@ from math import factorial, lcm
 from operator import add, gt, itemgetter
 
 from . import canon
-from .graphs import GraphError, StableGraph, intern
+from .graphs import StableGraph, intern
 from .structures import _automorphisms, _generic_carriers, _on
 
 
@@ -59,10 +59,6 @@ class UnknownVertex(ValueError):
 
 
 class UnknownHalfEdge(ValueError):
-    pass
-
-
-class UnstableResult(ValueError):
     pass
 
 
@@ -623,42 +619,35 @@ def multiply(x: FormalSum, y: FormalSum) -> FormalSum:
 # -- gluing ------------------------------------------------------------
 
 
-def _join_graphs(piece: DecoratedGraph, host: DecoratedGraph, piece_leg: int, host_leg: int, relabel):
-    hg, pg = host.graph, piece.graph
+def _leg(G: StableGraph, label: int) -> int:
     try:
-        h_host = hg.leg_of_label[host_leg]
-        h_piece = pg.leg_of_label[piece_leg]
+        return G.leg_of_label[label]
     except KeyError as exc:
         raise UnknownHalfEdge(f"missing leg label {exc}") from exc
-    off_v = hg.n_vertices
-    off_h = hg.n_halfedges
-    genera = hg.genera + pg.genera
-    vertex_of = list(hg.vertex_of) + [v + off_v for v in pg.vertex_of]
-    partner = list(hg.partner) + [h + off_h for h in pg.partner]
-    partner[h_host] = h_piece + off_h
-    partner[h_piece + off_h] = h_host
-    legs = []
-    seen = set()
-    for label, h in hg.legs:
-        if label == host_leg:
-            continue
-        new_label = relabel.get(("host", label), relabel.get(label, label))
-        legs.append((new_label, h))
-    for label, h in pg.legs:
-        if label == piece_leg:
-            continue
-        new_label = relabel.get(("piece", label), relabel.get(label, label))
-        legs.append((new_label, h + off_h))
-    labels = [label for label, _ in legs]
-    if len(set(labels)) != len(labels):
-        raise LabelCollision(f"leg labels collide after relabeling: {sorted(labels)}")
-    try:
-        graph = StableGraph(genera, tuple(vertex_of), tuple(partner), tuple(legs))
-    except GraphError as exc:
-        raise UnstableResult(str(exc)) from exc
-    psi = host.psi + piece.psi
-    kappa = host.kappa + piece.kappa
-    return DecoratedGraph(graph, psi, kappa)
+
+
+def _glued(s: FormalSum, join, relabel) -> FormalSum:
+    """The sum of the terms of ``s``, each glued by ``join``.  ``join(d)``
+    gives the genera, vertex map and involution of the glued graph, its
+    legs as ``(side, label, half-edge)`` and its psi and kappa; a leg is
+    renamed through ``relabel`` by ``(side, label)`` or else by ``label``.
+    Joining legs leaves every vertex stable, so the graph can only fail on
+    its labels, with ``graphs.LegLabelError``."""
+    relabel = dict(relabel or {})
+    out = None
+    for coeff, d in s.terms.values():
+        genera, vertex_of, partner, sided, psi, kappa = join(d)
+        legs = [(relabel.get((side, l), relabel.get(l, l)), h) for side, l, h in sided]
+        labels = sorted(label for label, _ in legs)
+        if len(set(labels)) != len(labels):
+            raise LabelCollision(f"leg labels collide after relabeling: {labels}")
+        graph = StableGraph(genera, vertex_of, partner, legs)
+        if out is None:
+            out = FormalSum(graph.genus, graph.n_legs)
+        out._add(coeff, DecoratedGraph(graph, psi, kappa))
+    if out is None:
+        raise ValueError("cannot graft an empty sum (target space unknown)")
+    return out
 
 
 def graft(
@@ -672,47 +661,33 @@ def graft(
     ``host``, forming one new edge.  Remaining legs are renamed through
     ``relabel`` (keys may be plain labels or ``("host"|"piece", label)``).
     """
-    relabel = dict(relabel or {})
-    out = None
-    for coeff, d in piece.terms.values():
-        joined = _join_graphs(d, host, piece_leg, host_leg, relabel)
-        if out is None:
-            out = FormalSum(joined.graph.genus, joined.graph.n_legs)
-        out._add(coeff, joined)
-    if out is None:
-        raise ValueError("cannot graft an empty sum (target space unknown)")
-    return out
+    hg = host.graph
+    off_v, off_h = hg.n_vertices, hg.n_halfedges
+
+    def join(d):
+        pg = d.graph
+        h_host, h_piece = _leg(hg, host_leg), _leg(pg, piece_leg) + off_h
+        partner = list(hg.partner) + [h + off_h for h in pg.partner]
+        partner[h_host], partner[h_piece] = h_piece, h_host
+        vertex_of = hg.vertex_of + tuple(v + off_v for v in pg.vertex_of)
+        legs = [("host", label, h) for label, h in hg.legs if label != host_leg]
+        legs += [("piece", label, h + off_h) for label, h in pg.legs if label != piece_leg]
+        psi, kappa = host.psi + d.psi, host.kappa + d.kappa
+        return hg.genera + pg.genera, vertex_of, partner, legs, psi, kappa
+
+    return _glued(piece, join, relabel)
 
 
 def graft_loop(s: FormalSum, leg_a: int, leg_b: int, relabel=None) -> FormalSum:
     """Join two legs of each term of ``s`` to each other, forming a loop
     edge (or an edge between two vertices of the same term)."""
-    relabel = dict(relabel or {})
-    out = None
-    for coeff, d in s.terms.values():
+
+    def join(d):
         g = d.graph
-        try:
-            ha, hb = g.leg_of_label[leg_a], g.leg_of_label[leg_b]
-        except KeyError as exc:
-            raise UnknownHalfEdge(f"missing leg label {exc}") from exc
+        ha, hb = _leg(g, leg_a), _leg(g, leg_b)
         partner = list(g.partner)
         partner[ha], partner[hb] = hb, ha
-        legs = []
-        for label, h in g.legs:
-            if label in (leg_a, leg_b):
-                continue
-            legs.append((relabel.get(label, label), h))
-        labels = [label for label, _ in legs]
-        if len(set(labels)) != len(labels):
-            raise LabelCollision("leg labels collide after relabeling")
-        try:
-            graph = StableGraph(g.genera, g.vertex_of, tuple(partner), tuple(legs))
-        except GraphError as exc:
-            raise UnstableResult(str(exc)) from exc
-        joined = DecoratedGraph(graph, d.psi, d.kappa)
-        if out is None:
-            out = FormalSum(graph.genus, graph.n_legs)
-        out._add(coeff, joined)
-    if out is None:
-        raise ValueError("cannot graft an empty sum (target space unknown)")
-    return out
+        legs = [(None, label, h) for label, h in g.legs if label not in (leg_a, leg_b)]
+        return g.genera, g.vertex_of, partner, legs, d.psi, d.kappa
+
+    return _glued(s, join, relabel)

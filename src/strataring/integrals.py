@@ -13,7 +13,10 @@ and the lambda_g lambda_{g-1} socle evaluation is
 
     (2g-3+n)! |B_2g| / (2^(2g-1) (2g)! prod (2 d_i - 1)!!).
 
-Each kappa-free integral is memoized once, in ``_tau_cache`` under
+A decorated term integrates as the product of its vertex integrals over
+its :func:`hodge_split`, in one loop (:func:`_vertex_product`) that
+``integrate_graph``, ``integrate_sum`` and ``pairing.integrate_product``
+share.  Each kappa-free integral is memoized once, in ``_tau_cache`` under
 ``(genus, exponents in decreasing order, vertex kind)``; this is the table
 ``--cache`` saves.  Integrals with kappa classes are memoized in
 ``_kappa_cache``.  Everything is a ``fractions.Fraction``; no value is
@@ -25,7 +28,7 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
-from collections import Counter
+from collections import Counter, namedtuple
 from enum import Enum
 from fractions import Fraction
 from itertools import product
@@ -186,6 +189,8 @@ def cache_load(path: str) -> int:
             kind = EvaluationKind(int(code))
             if _vertex_kind(g, kind) is not kind:
                 raise ValueError("the engine keys this integral under another kind")
+            if not _on_dimension(g, d, kind):
+                raise ValueError("the engine never stores an off-dimension integral")
             num, den = frac.split("/")
             value = Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError):
@@ -210,6 +215,16 @@ def _vertex_kind(g: int, kind: EvaluationKind) -> EvaluationKind:
     return kind
 
 
+def _on_dimension(g: int, d: tuple[int, ...], kind: EvaluationKind) -> bool:
+    """Whether the psi monomial ``d`` (exponents in decreasing order) lies on
+    a stable genus-``g`` vertex and has the top degree of ``kind``: the only
+    integrals that can be nonzero, and the only ones ``_tau_cache`` holds."""
+    n = len(d)
+    if g < 0 or (d and d[-1] < 0) or 2 * g - 2 + n <= 0:
+        return False
+    return sum(d) == top_degree(kind.space, g, n)
+
+
 def _psi_integral(g: int, d: tuple[int, ...], kind: EvaluationKind) -> Fraction:
     """The psi monomial ``d`` (exponents in decreasing order) integrated
     against ``kind``; zero off dimension.  Values are memoized under the
@@ -221,11 +236,9 @@ def _psi_integral(g: int, d: tuple[int, ...], kind: EvaluationKind) -> Fraction:
     vkind = _vertex_kind(g, kind)
     if vkind is not kind:
         return _psi_integral(g, d, vkind)
+    if not _on_dimension(g, d, kind):
+        return ZERO
     n = len(d)
-    if g < 0 or (d and d[-1] < 0) or 2 * g - 2 + n <= 0:
-        return ZERO
-    if sum(d) != top_degree(kind.space, g, n):
-        return ZERO
     if g == 0:
         value = Fraction(_multinomial(n - 3, d))
     elif kind is LAMBDA_TOP:
@@ -369,11 +382,35 @@ def hodge_split(G: StableGraph, kind: EvaluationKind):
     return split
 
 
-def _vertex_value(d: DecoratedGraph, v: int, kind: EvaluationKind) -> Fraction:
+# a raw term of a fused pairing: the decoration of a carrier, read by
+# _vertex_value like a DecoratedGraph without building one
+RawTerm = namedtuple("RawTerm", "graph psi kappa")
+
+
+def _vertex_value(d: DecoratedGraph | RawTerm, v: int, kind: EvaluationKind) -> Fraction:
+    """The integral of vertex ``v`` of ``d`` against the vertex kind
+    ``kind``.  It reads only ``d.graph`` (``genera``, ``halfedges_at``),
+    ``d.psi`` (one exponent per half-edge) and ``d.kappa`` (one monomial of
+    ``(index, power)`` pairs per vertex), which a :class:`RawTerm` has too;
+    the benchmark's tracer wraps it by this name and signature."""
     g = d.graph.genera[v]
     psi = tuple(d.psi[h] for h in d.graph.halfedges_at[v])
     kap = tuple(j for j, f in d.kappa[v] for _ in range(f))
     return kappa_reduce(g, psi, kap, kind)
+
+
+def _vertex_product(d: DecoratedGraph | RawTerm, split, value: Fraction) -> Fraction:
+    """``value`` times the integral of every vertex of ``d`` against its
+    vertex kind in ``split`` (:func:`hodge_split`); zero at the first
+    vertex that integrates to zero.  The one loop over vertex integrals:
+    :func:`integrate_graph`, :func:`integrate_sum` and
+    ``pairing.integrate_product`` all end here."""
+    for v, (_, vkind, _) in enumerate(split):
+        factor = _vertex_value(d, v, vkind)
+        if factor == 0:
+            return ZERO
+        value *= factor
+    return value
 
 
 def integrate_graph(d: DecoratedGraph, kind) -> Fraction:
@@ -393,17 +430,9 @@ def integrate_graph(d: DecoratedGraph, kind) -> Fraction:
 
 def _integrate_checked(d: DecoratedGraph, kind: EvaluationKind) -> Fraction:
     split = hodge_split(d.graph, kind)
-    if split is None:
+    if split is None or any(d.vertex_codim(v) != top for v, (_, _, top) in enumerate(split)):
         return ZERO
-    value = Fraction(1)
-    for v, (_, vkind, top) in enumerate(split):
-        if d.vertex_codim(v) != top:
-            return ZERO
-        factor = _vertex_value(d, v, vkind)
-        if factor == 0:
-            return ZERO
-        value *= factor
-    return value
+    return _vertex_product(d, split, Fraction(1))
 
 
 def integrate_sum(s: FormalSum, kind) -> Fraction:

@@ -4,7 +4,9 @@ The Gram matrix pairs the spanning set in codimension ``k`` against the
 one in complementary codimension through the evaluation class of the
 chosen space.  Ranks and kernels come from one fraction-free (Bareiss)
 Gauss-Jordan elimination over the integers, after clearing denominators
-row by row.  :func:`gram`, :func:`rank_table` and :func:`verify_relation`
+row by row.  The fused :func:`integrate_product` integrates its raw terms
+through the vertex-integral kernel of :mod:`strataring.integrals`.
+:func:`gram`, :func:`rank_table` and :func:`verify_relation`
 empty the memo stores of layers 2 and 3 when they return
 (:mod:`strataring.stores`).
 """
@@ -25,7 +27,7 @@ from .algebra import (
     homogeneous_codim,
 )
 from .enumeration import decorated_basis, space_admits, top_degree
-from .integrals import evaluation_kind, hodge_split, kappa_reduce
+from .integrals import RawTerm, _vertex_product, evaluation_kind, hodge_split
 from .stores import clearing
 
 # (id(carrier), evaluation kind) -> (carrier, its hodge_split); holding the
@@ -48,12 +50,13 @@ def integrate_product(x: FormalSum, y: FormalSum, kind) -> Fraction:
     Equivalent to ``integrate_sum(multiply(x, y), kind)`` but skips the
     canonical merging of product terms: the raw terms of each carrier
     come from the pipeline of ``multiply`` (``algebra._product_terms``),
-    and each distinct raw decoration is integrated once, vertex by
-    vertex.  The pipeline builds only the raw terms whose decoration at
-    every vertex has the top degree that ``hodge_split`` gives it, taken
-    once per carrier and kind (:func:`_carrier_split`), since no other
-    term integrates to a nonzero value;
-    the same split then names the class each vertex is integrated
+    and each distinct raw decoration is integrated once, as a light
+    ``RawTerm`` record, by ``integrals._vertex_product``: the loop that
+    ``integrate_sum`` ends in too.  The pipeline builds only the raw terms
+    whose decoration at every vertex has the top degree that
+    ``hodge_split`` gives it, taken once per carrier and kind
+    (:func:`_carrier_split`), since no other term integrates to a nonzero
+    value; the same split then names the class each vertex is integrated
     against.  Only the term pairs of complementary codimension whose
     graphs the space of ``kind`` admits are fed to it: ct and rt graphs
     are closed under contraction, so no carrier of another graph is
@@ -79,17 +82,8 @@ def integrate_product(x: FormalSum, y: FormalSum, kind) -> Fraction:
     total = Fraction(0)
     for A, raw in _product_terms(term_pairs, top_degrees):
         split = _carrier_split(A, kind)
-        halfedges_at = A.halfedges_at
         for (psi, kappa), value in raw.items():
-            for v, (gv, vkind, _) in enumerate(split):
-                psis = tuple(psi[h] for h in halfedges_at[v])
-                kap = tuple(j for j, f in kappa[v] for _ in range(f))
-                factor = kappa_reduce(gv, psis, kap, vkind)
-                if factor == 0:
-                    break
-                value *= factor
-            else:
-                total += value
+            total += _vertex_product(RawTerm(A, psi, kappa), split, value)
     return total
 
 
@@ -136,7 +130,7 @@ def gram(g: int, n: int, k: int, space: str) -> GramMatrix:
         warnings.warn(
             f"gram({g}, {n}, {k}, {space!r}) fills {size} pairings; this may take very long",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,  # past the clearing wrapper, at the caller
         )
     if cols is rows:
         entries = [[None] * len(cols) for _ in rows]

@@ -15,7 +15,6 @@ from strataring.algebra import (
     SpaceMismatch,
     UnknownHalfEdge,
     UnknownVertex,
-    UnstableResult,
     graft,
     graft_loop,
     kappa_apply,
@@ -26,7 +25,7 @@ from strataring.algebra import (
     sigma,
 )
 from strataring.enumeration import decorated_basis, stable_graphs, top_degree
-from strataring.graphs import build_graph
+from strataring.graphs import LegLabelError, build_graph
 from strataring.integrals import FUNDAMENTAL, integrate_sum
 from conftest import dec
 
@@ -164,10 +163,20 @@ def test_graft_label_collision():
         graft(piece, host, 1, 1)
     ok = graft(piece, host, 1, 1, relabel={("piece", 2): 1})
     assert next(iter(ok.terms.values()))[1].graph.n_legs == 2
-    # joining a leg never changes a vertex's half-edge count, so validated
-    # inputs cannot produce an unstable vertex; the guard class exists for
-    # defensive use only
-    assert issubclass(UnstableResult, ValueError)
+
+
+def test_gluing_with_labels_off_one_to_n_raises_a_leg_label_error():
+    # joining legs never changes a vertex's half-edge count, so the glued
+    # graph can only be wrong in its leg labels
+    piece = FormalSum.unit(dec([0], legs={1: 0, 2: 0, 3: 0}))
+    host = dec([1], legs={1: 0})
+    with pytest.raises(LegLabelError, match="leg labels must be 1..n"):
+        graft(piece, host, 1, 1, {("piece", 2): 5, ("piece", 3): 6})
+    s = FormalSum.unit(dec([0], legs={1: 0, 2: 0, 3: 0, 4: 0}))
+    with pytest.raises(LegLabelError, match="leg labels must be 1..n"):
+        graft_loop(s, 1, 2)
+    (_, d), = graft_loop(s, 1, 2, {3: 1, 4: 2}).items()
+    assert d.graph.genus == 1 and sorted(d.graph.leg_of_label) == [1, 2]
 
 
 def test_graft_loop():

@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import strataring.algebra as algebra
+import strataring.integrals as integrals
+import strataring.pairing as pairing
 import strataring.structures as structures
 from strataring.algebra import (
     DecoratedGraph,
@@ -373,3 +375,56 @@ def test_products_build_no_pair_structure(fixtures_dir, monkeypatch):
     # the same graphs do carry pairs, which the public listing builds
     dG, dH = (next(iter(s.terms.values()))[1] for s in (g, h))
     assert enumerate_generic_pairs(dG.graph, dH.graph) and built
+
+
+def test_every_vertex_integral_goes_through_the_one_kernel(fixtures_dir, monkeypatch):
+    """``integrate_graph``, ``integrate_sum`` and ``integrate_product``
+    integrate every vertex through ``integrals._vertex_value``, the name the
+    benchmark's tracer wraps, and the fused pairing builds no
+    ``DecoratedGraph`` to do so."""
+    g = load_sum(str(fixtures_dir / "worked_product_g.sum"))
+    h = load_sum(str(fixtures_dir / "worked_product_h.sum"))
+    product = multiply(g, h)
+    cases = [
+        (x, y, space, integrate_sum(multiply(x, y), space))
+        for x, y, space in _sum_cases(fixtures_dir)[0]
+    ]
+    inside, seen = [0], []
+    vertex_value, kappa_reduce = integrals._vertex_value, integrals.kappa_reduce
+
+    def traced_vertex_value(d, v, kind):
+        seen.append((type(d), v))
+        inside[0] += 1
+        try:
+            return vertex_value(d, v, kind)
+        finally:
+            inside[0] -= 1
+
+    def guarded_kappa_reduce(*args):
+        assert inside[0], "a vertex integral bypassed _vertex_value"
+        return kappa_reduce(*args)
+
+    monkeypatch.setattr(integrals, "_vertex_value", traced_vertex_value)
+    for module in (integrals, pairing):
+        monkeypatch.setattr(module, "kappa_reduce", guarded_kappa_reduce, raising=False)
+
+    nonzero = 0
+    for _, d in product.terms.values():
+        seen.clear()
+        if integrate_graph(d, "mbar"):
+            assert seen == [(DecoratedGraph, v) for v in range(d.graph.n_vertices)]
+            nonzero += 1
+    assert nonzero > 0
+    seen.clear()
+    assert integrate_sum(product, "mbar") == Fraction(1, 8)
+    assert seen and {t for t, _ in seen} == {DecoratedGraph}
+
+    built = []
+    init = DecoratedGraph.__init__
+    monkeypatch.setattr(DecoratedGraph, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    seen.clear()
+    assert integrate_product(g, h, "mbar") == Fraction(1, 8)
+    for x, y, space, value in cases:
+        assert integrate_product(x, y, space) == value
+    assert seen and DecoratedGraph not in {t for t, _ in seen}
+    assert built == []

@@ -260,17 +260,18 @@ def test_integrate_sum_linearity():
 def test_cache_roundtrip(tmp_path):
     cache_clear()
     try:
-        # an off-dimension key, so that only the memo can give this value
-        integrals._tau_cache[9, (2, 1), FUNDAMENTAL] = F(3, 7)
-        assert wk_tau(9, (1, 2)) == F(3, 7)
+        # a wrong value under a key the engine stores, so that only the
+        # memo can give it (<tau_7>_3 = 1/(24^3 3!) = 1/82944)
+        integrals._tau_cache[3, (7,), FUNDAMENTAL] = F(3, 7)
+        assert wk_tau(3, (7,)) == F(3, 7)
         wk_tau(2, (4,))
         path = tmp_path / "cache.txt"
         n = cache_snapshot(str(path))
         assert n >= 2
         cache_clear()
-        assert wk_tau(9, (1, 2)) == 0
+        assert wk_tau(3, (7,)) == F(1, 82944)
         assert cache_load(str(path)) == n
-        assert wk_tau(9, (1, 2)) == F(3, 7)
+        assert wk_tau(3, (7,)) == F(3, 7)
         assert wk_tau(2, (4,)) == F(1, 1152)
     finally:
         cache_clear()
@@ -318,6 +319,8 @@ def test_cache_ignores_corrupt_lines(tmp_path, capsys):
     path.write_text(
         "v1 2 4 0 1/1152\nv1 bogus line\nv2 1 1 0 1/24\nv1 1 1 x 1/24\nv1 1 1 7 1/24\n"
         "v1 1 1 0 1/0\nv1 0 0,0,0 2 1/1\nv1 1 1 2 1/24\n"
+        # an unstable key, a negative exponent, two off-dimension keys
+        "v1 0 0,0 0 1/1\nv1 1 3,-1 0 1/1\nv1 1 2 0 5/1\nv1 2 1 1 1/1\n"
     )
     cache_clear()
     try:
@@ -325,7 +328,22 @@ def test_cache_ignores_corrupt_lines(tmp_path, capsys):
         assert integrals._tau_cache == {(2, (4,), FUNDAMENTAL): F(1, 1152)}
     finally:
         cache_clear()
-    assert capsys.readouterr().err.count("corrupt cache line") == 7
+    assert capsys.readouterr().err.count("corrupt cache line") == 11
+
+
+def test_a_loaded_off_dimension_value_is_never_read(tmp_path, capsys):
+    # the KdV recursion and the kappa pushforward query off-dimension keys,
+    # which must stay zero whatever a cache file without a checksum says
+    path = tmp_path / "cache.txt"
+    path.write_text("v1 1 2 0 5/1\n")
+    cache_clear()
+    try:
+        assert cache_load(str(path)) == 0
+        assert wk_tau(1, [2]) == 0
+        assert kappa_reduce(1, [], [1]) == 0
+    finally:
+        cache_clear()
+    assert capsys.readouterr().err.count("corrupt cache line") == 1
 
 
 def test_cache_with_a_wrong_checksum_loads_nothing(tmp_path, capsys):

@@ -200,9 +200,11 @@ def test_large_gram_fill_warns(monkeypatch):
     import strataring.pairing as pairing
 
     monkeypatch.setattr(pairing, "GRAM_WARN_PAIRINGS", 3)
-    with pytest.warns(RuntimeWarning, match="fills 4 pairings"):
+    with pytest.warns(RuntimeWarning, match="fills 4 pairings") as record:
         m = pairing.gram(2, 0, 1, "mbar")
     assert rank(m) == 2
+    # the warning points at the caller, not into the clearing wrapper
+    assert [w.filename for w in record] == [__file__]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gram(0, 3, 0, "mbar")  # one pairing, below the threshold
